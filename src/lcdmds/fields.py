@@ -11,13 +11,19 @@ Multiplication, inversion and powers run on log/antilog tables keyed to the
 first primitive element in canonical order; addition works on the base-p
 digits, with a full table for small extension fields. The order cap
 q <= 2^16 keeps the tables manageable.
+
+FieldArrays applies the same arithmetic element-wise to numpy arrays of
+element indices, for kernels that work on many matrices at once. Its tables
+are built on first use, never when the field is constructed.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -149,13 +155,15 @@ class Field:
     """The finite field GF(p^e) under the canonical element labeling."""
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if not is_prime(p):
-            raise ParameterError(f"{p} is not prime")
         if e < 1:
             raise ParameterError(f"extension degree must be at least 1, got {e}")
+        # The cap comes before the primality test, whose trial division does
+        # not end on a huge p; p^e is only computed once both are small.
+        if p > MAX_ORDER or (p > 1 and (e >= MAX_ORDER.bit_length() or p**e > MAX_ORDER)):
+            raise ParameterError(f"field order {p}^{e} exceeds the supported cap 2^16")
+        if not is_prime(p):
+            raise ParameterError(f"{p} is not prime")
         q = p**e
-        if q > MAX_ORDER:
-            raise ParameterError(f"field order {q} exceeds the supported cap 2^16")
         self.p = p
         self.e = e
         self.q = q
@@ -236,6 +244,15 @@ class Field:
         for x in reversed(self._digits[a]):
             v = v * p + (-x) % p
         return v
+
+    @cached_property
+    def arrays(self) -> "FieldArrays":
+        """Element-wise arithmetic on numpy index arrays, built on first use.
+
+        Building twice (two threads racing on first use) is harmless: both
+        build the same tables and either may be kept.
+        """
+        return FieldArrays(self)
 
     # -- element plumbing --
 
@@ -348,7 +365,63 @@ class Field:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Field":
-        return cls(int(d["p"]), int(d["e"]), d.get("modulus"))
+        """The field of a serialized record; the shared field() instance when
+        the modulus is absent or canonical, else a validated new Field."""
+        p, e, modulus = int(d["p"]), int(d["e"]), d.get("modulus")
+        F = field(p, e)
+        if modulus is None or tuple(int(c) % p for c in modulus) == F.modulus:
+            return F
+        return cls(p, e, modulus)
+
+
+class FieldArrays:
+    """Field arithmetic applied element-wise to int64 arrays of element indices.
+
+    Prime fields compute modulo p. Extension fields multiply on exp/log
+    tables, where log 0 is a sentinel that lands in a zero tail of exp, and
+    add with one Zech-logarithm table Z(m) = log(1 + g^m), using
+    g^x + g^y = g^(x + Z(y - x)) (Huber, IEEE T-IT 36(4), 1990).
+    """
+
+    def __init__(self, F: Field):
+        p, e, q = F.p, F.e, F.q
+        self.p = p
+        self.prime = e == 1
+        q1 = q - 1
+        exp = np.array(F._exp, dtype=np.int64)
+        log = np.array(F._log, dtype=np.int64)
+        self.inv_table = exp[-log % q1]
+        self.inv_table[0] = 0  # never read: callers invert nonzero pivots only
+        if self.prime:
+            return
+        self.q1 = q1
+        zero_log = 2 * q1  # log[a] + log[b] >= 2(q - 1) iff a or b is 0
+        log[0] = zero_log
+        self.log = log
+        self.exp = np.concatenate([exp, exp, np.zeros(2 * q1 + 1, dtype=np.int64)])
+        weights = p ** np.arange(e, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
+        one_plus = digits[exp]  # digits of g^m, m = 0..q-2
+        one_plus[:, 0] = (one_plus[:, 0] + 1) % p
+        self.zech = log[one_plus @ weights]
+        self.neg = (-digits % p) @ weights
+
+    def mul(self, a, b):
+        if self.prime:
+            return a * b % self.p
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a):
+        return self.inv_table[a]
+
+    def sub(self, a, b):
+        if self.prime:
+            return (a - b) % self.p
+        # a zero operand indexes harmlessly inside the tables; where() fixes it
+        b = self.neg[b]
+        la = self.log[a]
+        s = self.exp[la + self.zech[(self.log[b] - la) % self.q1]]
+        return np.where(a == 0, b, np.where(b == 0, a, s))
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ that route, independent of the null-space machinery in linear.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import FieldMismatch, ParameterError
 from .fields import Field
@@ -86,7 +86,14 @@ class GrsSpec:
         return self.n + 1 if self.extended else self.n
 
     def generator(self) -> LinearCode:
-        """The k x length Vandermonde-with-multipliers generator matrix."""
+        """The k x length Vandermonde-with-multipliers generator matrix.
+
+        Built once per spec; every call returns the same LinearCode.
+        """
+        return self._generator
+
+    @cached_property
+    def _generator(self) -> LinearCode:
         F = self.field
         mul = F.mul
         rows = []

@@ -9,7 +9,7 @@ Matrices are sequences of rows of canonical element indices.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -21,6 +21,10 @@ DEFAULT_BUDGET = 10**7
 
 ROUTE_ENUMERATION = "enumeration"
 ROUTE_COLUMN_SUBSETS = "column_subsets"
+
+# The column-subset kernel eliminates max(1, SUBSET_BATCH_ENTRIES // k^2)
+# k x k submatrices at a time, which bounds its working set whatever C(n, k).
+SUBSET_BATCH_ENTRIES = 1 << 14
 
 
 def _matrix(field: Field, rows) -> list[list[int]]:
@@ -78,6 +82,28 @@ def mat_mul(field: Field, A, B):
                         acc[j] = add(acc[j], mul(a, b))
         out.append(acc)
     return out
+
+
+def _all_nonsingular(arrays, stack) -> bool:
+    """Whether every matrix in a (B, k, k) stack is nonsingular.
+
+    Gaussian elimination on all B matrices at once, overwriting the stack:
+    the pivot of column c is the first nonzero entry at or below row c. Row c
+    is not read after step c, so the pivot row is copied out and row c moved
+    into its place rather than swapped.
+    """
+    rows = np.arange(stack.shape[0])
+    for c in range(stack.shape[1]):
+        nonzero = stack[:, c:, c] != 0
+        if not nonzero.any(axis=1).all():
+            return False
+        pr = c + nonzero.argmax(axis=1)
+        pivot_row = stack[rows, pr]
+        stack[rows, pr] = stack[:, c]
+        f = arrays.mul(stack[:, c + 1 :, c], arrays.inv(pivot_row[:, c])[:, None])
+        below = stack[:, c + 1 :, c + 1 :]
+        below[...] = arrays.sub(below, arrays.mul(f[:, :, None], pivot_row[:, None, c + 1 :]))
+    return True
 
 
 class LinearCode:
@@ -204,7 +230,11 @@ class LinearCode:
         return best
 
     def mds_by_column_subsets(self, max_subsets: int | None = None) -> bool:
-        """MDS iff every k-subset of generator columns is nonsingular."""
+        """MDS iff every k-subset of generator columns is nonsingular.
+
+        The subsets are eliminated in batches by one exact numpy kernel; the
+        scan stops at the first batch that holds a singular subset.
+        """
         if self.k == 0:
             raise ParameterError("zero-dimensional code has no MDS predicate")
         total = comb(self.n, self.k)
@@ -212,27 +242,19 @@ class LinearCode:
             raise BudgetExceeded(
                 f"{total} column subsets exceed the budget {max_subsets}"
             )
-        F = self.field
         k = self.k
-        mul, sub, inv = F.mul, F.sub, F.inv
-        for cols in combinations(range(self.n), k):
-            M = [[row[c] for c in cols] for row in self.gen]
-            singular = False
-            for c in range(k):
-                pr = next((i for i in range(c, k) if M[i][c]), None)
-                if pr is None:
-                    singular = True
-                    break
-                M[c], M[pr] = M[pr], M[c]
-                piv = inv(M[c][c])
-                for i in range(c + 1, k):
-                    f = M[i][c]
-                    if f:
-                        f = mul(f, piv)
-                        M[i] = [sub(x, mul(f, y)) for x, y in zip(M[i], M[c])]
-            if singular:
+        columns = np.array(self.gen, dtype=np.int64).T
+        arrays = self.field.arrays
+        batch = max(1, SUBSET_BATCH_ENTRIES // k**2)
+        subsets = chain.from_iterable(combinations(range(self.n), k))
+        while True:
+            cols = np.fromiter(islice(subsets, batch * k), dtype=np.int64)
+            if not cols.size:
+                return True
+            # stack[b] is the transpose of subset b's submatrix: as singular
+            stack = columns[cols.reshape(-1, k)]
+            if not _all_nonsingular(arrays, stack):
                 return False
-        return True
 
     def mds_check(self, budget: int = DEFAULT_BUDGET):
         """(is_mds, route, min_distance) using the first route within budget.

@@ -1,6 +1,6 @@
 """Shared test oracles, deliberately independent of the library's fast paths."""
 
-from itertools import product
+from itertools import combinations, product
 
 from lcdmds import GrsSpec, LinearCode, ParameterError
 
@@ -35,6 +35,31 @@ def brute_min_distance(code):
         if best is None or wt < best:
             best = wt
     return best
+
+
+def subsets_nonsingular_scalar(code):
+    """MDS iff every k-column submatrix is nonsingular, one subset at a time.
+
+    Scalar Gaussian elimination on Field ops: the reference for the batched
+    kernel in LinearCode.mds_by_column_subsets.
+    """
+    F = code.field
+    k = code.k
+    mul, sub, inv = F.mul, F.sub, F.inv
+    for cols in combinations(range(code.n), k):
+        M = [[row[c] for c in cols] for row in code.gen]
+        for c in range(k):
+            pr = next((i for i in range(c, k) if M[i][c]), None)
+            if pr is None:
+                return False
+            M[c], M[pr] = M[pr], M[c]
+            piv = inv(M[c][c])
+            for i in range(c + 1, k):
+                f = M[i][c]
+                if f:
+                    f = mul(f, piv)
+                    M[i] = [sub(x, mul(f, y)) for x, y in zip(M[i], M[c])]
+    return True
 
 
 def multiplicative_order_brute(F, x):

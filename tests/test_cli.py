@@ -1,4 +1,5 @@
 import json
+from time import perf_counter
 
 import pytest
 
@@ -112,6 +113,16 @@ def test_verify_malformed_input_exit_2(capsys, tmp_path):
 
     rc, _, _ = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert rc == 2
+
+
+def test_verify_huge_field_exits_2_at_once(capsys, tmp_path):
+    for record in ({"p": 2**61 - 1, "e": 1}, {"p": 3, "e": 10**9}):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"field": record, "generator": [[1]]}))
+        start = perf_counter()
+        rc, _, err = run(capsys, "verify", str(path))
+        assert perf_counter() - start < 1
+        assert rc == 2 and "cap" in err and "Traceback" not in err
 
 
 def test_verify_budget_exit_5(capsys, tmp_path):

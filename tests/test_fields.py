@@ -1,10 +1,11 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from conftest import multiplicative_order_brute
-from lcdmds import Field, ParameterError, field, field_from_order
+from lcdmds import Field, GrsSpec, LinearCode, ParameterError, field, field_from_order
 from lcdmds.fields import find_modulus, is_irreducible, is_prime, prime_factors
 
 
@@ -35,6 +36,36 @@ def test_gf27_modulus_matches_bruteforce_scan():
             first = (c0, c1, c2, 1)
             break
     assert field(3, 3).modulus == first == (1, 0, 2, 1)
+
+
+def test_from_dict_reuses_the_shared_field():
+    F = field(3, 2)
+    assert Field.from_dict(F.to_dict()) is Field.from_dict(F.to_dict()) is F
+    assert Field.from_dict({"p": 3, "e": 2}) is F
+    code = GrsSpec(F, (0, 1, 2, 3), (1, 1, 1, 1), 2).generator()
+    assert LinearCode.from_dict(code.to_dict()).field is F
+    spec = GrsSpec(F, (0, 1, 2), (1, 2, 1), 2)
+    assert GrsSpec.from_dict(spec.to_dict()).field is F
+    # a non-canonical irreducible modulus is still accepted, a reducible one not
+    other = Field.from_dict({"p": 3, "e": 2, "modulus": [2, 2, 1]})
+    assert other is not F and other.modulus == (2, 2, 1)
+    with pytest.raises(ParameterError, match="irreducible"):
+        Field.from_dict({"p": 3, "e": 2, "modulus": [2, 0, 1]})
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (2, 4), (3, 3), (3, 7), (65521, 1)])
+def test_field_arrays_match_scalar_ops(p, e):
+    # zero operands, a - a = 0 (the Zech sentinel) and the largest prime field
+    F = field(p, e)
+    arrays = F.arrays
+    rng = random.Random(p + e)
+    a = [rng.randrange(F.q) for _ in range(400)] + [0, 0, F.q - 1]
+    b = a[:100] + [rng.randrange(F.q) for _ in range(300)] + [0, F.q - 1, 0]
+    x, y = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert arrays.mul(x, y).tolist() == [F.mul(s, t) for s, t in zip(a, b)]
+    assert arrays.sub(x, y).tolist() == [F.sub(s, t) for s, t in zip(a, b)]
+    units = [s for s in a if s]
+    assert arrays.inv(np.array(units, dtype=np.int64)).tolist() == [F.inv(s) for s in units]
 
 
 def test_irreducibility_helper():

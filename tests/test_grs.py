@@ -45,6 +45,11 @@ def test_generator_examples():
     assert small.generator().gen == ((2, 3),)
 
 
+def test_generator_is_built_once():
+    spec = GrsSpec(F5, (0, 1, 2, 3), (1, 2, 3, 4), 2)
+    assert spec.generator() is spec.generator()
+
+
 def test_codeword_examples():
     spec = GrsSpec(F5, (0, 1, 2, 3), (1, 1, 1, 1), 2)
     assert spec.codeword(Poly(F5)) == (0, 0, 0, 0)

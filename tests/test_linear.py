@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import brute_min_distance, random_full_rank_code
+from conftest import brute_min_distance, random_full_rank_code, subsets_nonsingular_scalar
 from lcdmds import (
     BudgetExceeded,
     FieldMismatch,
@@ -12,6 +12,7 @@ from lcdmds import (
     field,
     rref,
 )
+from lcdmds.linear import SUBSET_BATCH_ENTRIES
 
 F5 = field(5)
 
@@ -165,6 +166,43 @@ def test_mds_routes_agree():
         code = random_full_rank_code(F, n, k, rng)
         enum_verdict = code.minimum_distance() == n - k + 1
         assert enum_verdict == code.mds_by_column_subsets()
+        assert enum_verdict == subsets_nonsingular_scalar(code)
+
+    # The batched kernel against the scalar reference, and against
+    # enumeration where it fits: prime and extension fields (GF(3^7) has
+    # q > 512), random, GRS and equal-column codes, k = 1 and k = n.
+    codes = []
+    for F, max_n in ((field(7), 8), (field(3, 2), 9), (field(3, 3), 10), (field(3, 7), 9)):
+        for _ in range(6):
+            n = rng.randint(2, max_n)
+            k = rng.randint(1, n - 1)
+            locs = tuple(rng.sample(range(F.q), n))
+            mults = tuple(rng.randrange(1, F.q) for _ in range(n))
+            grs = GrsSpec(F, locs, mults, k).generator()
+            copied = [row + (row[rng.randrange(n)],) for row in grs.gen]
+            codes += [
+                random_full_rank_code(F, n, k, rng),
+                random_full_rank_code(F, n, 1, rng),
+                random_full_rank_code(F, n, n, rng),
+                grs,
+                LinearCode(F, copied),
+            ]
+    # A copy of the last column of an MDS code: the only singular subset is
+    # the last of C(101, 2) = 5050, past the first batch.
+    grs = GrsSpec(field(3, 5), tuple(range(100)), (1,) * 100, 2).generator()
+    codes.append(LinearCode(grs.field, [row + (row[-1],) for row in grs.gen]))
+    # C(n, 1) is one more than the batch size: the last subset is a batch of
+    # its own, singular or not.
+    n = SUBSET_BATCH_ENTRIES + 1
+    codes += [LinearCode(F5, [[1] * n]), LinearCode(F5, [[1] * (n - 1) + [0]])]
+    verdicts = set()
+    for code in codes:
+        verdict = code.mds_by_column_subsets()
+        assert verdict == subsets_nonsingular_scalar(code)
+        if code.field.q**code.k <= 20_000:
+            assert verdict == (code.minimum_distance() == code.n - code.k + 1)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_mds_check_routes_and_budget():
