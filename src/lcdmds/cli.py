@@ -3,8 +3,9 @@
 Exit codes: 0 success (for verify: the code is LCD and MDS), 1 verify found a
 code that is not, 2 usage or parameter errors (including malformed input),
 3 no covered construction applies, 4 a constructed code failed verification
-(always a bug), 5 work budget exceeded. The default verification budget is
-10^6 enumerated codewords, overridable with --budget or LCDMDS_BUDGET.
+(always a bug), 5 work budget exceeded. The verification budget defaults to
+linear.DEFAULT_BUDGET, 10^6 enumerated codewords or column subsets, the same
+default the library uses; --budget or LCDMDS_BUDGET override it.
 
 All JSON output is canonical (sorted keys, fixed indentation, no timestamps)
 so identical inputs produce byte-identical bytes regardless of parallelism.
@@ -13,6 +14,7 @@ so identical inputs produce byte-identical bytes regardless of parallelism.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,15 +23,11 @@ from time import perf_counter
 
 from .construct import (
     ALL_THEOREMS,
+    FAMILIES,
     applicable_conditions,
     construct_auto,
-    construct_divisor,
-    construct_extended,
-    construct_large_nk,
-    construct_prime_power,
-    construct_window,
+    require_construction_field,
     verify_report,
-    _prime_power_level,
 )
 from .errors import (
     BudgetExceeded,
@@ -40,9 +38,8 @@ from .errors import (
     TheoremViolation,
 )
 from .fields import Field, field, field_from_order
-from .linear import LinearCode
+from .linear import DEFAULT_BUDGET, LinearCode
 
-DEFAULT_CLI_BUDGET = 10**6
 BUDGET_ENV = "LCDMDS_BUDGET"
 
 EXIT_OK = 0
@@ -77,7 +74,7 @@ def _resolve_field(args) -> Field:
 def _default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
-        return DEFAULT_CLI_BUDGET
+        return DEFAULT_BUDGET
     try:
         return int(raw)
     except ValueError:
@@ -90,39 +87,7 @@ def _budget(args) -> int:
 
 # ---------- construct ----------
 
-THEOREM_FLAGS = {
-    "auto": None,
-    "extended": "ExtendedQPlus1",
-    "divisor": "DivisorOfQMinus1",
-    "prime-power": "PrimePowerLength",
-    "large-nk": "LargeNPlusK",
-    "window": "Window2n",
-}
-
-
-def _run_named_construction(F: Field, args):
-    n, k = args.n, args.k
-    name = args.theorem
-    if name == "auto":
-        return construct_auto(
-            F, n, k, gamma=args.gamma, tail=args.tail, permutation=args.permutation
-        )
-    if name == "extended":
-        if n != F.q + 1:
-            raise ParameterError(f"extended codes have n = q + 1 = {F.q + 1}, got {n}")
-        return construct_extended(F, k, gamma=args.gamma, permutation=args.permutation)
-    if name == "divisor":
-        return construct_divisor(F, n, k, tail=args.tail)
-    if name == "prime-power":
-        level = _prime_power_level(F, n)
-        if level is None:
-            raise ParameterError(f"n = {n} is not a power p^l of p = {F.p} with l <= {F.e}")
-        return construct_prime_power(F, level, k, gamma=args.gamma)
-    if name == "large-nk":
-        return construct_large_nk(F, n, k, permutation=args.permutation)
-    if name == "window":
-        return construct_window(F, n, k, permutation=args.permutation)
-    raise ParameterError(f"unknown theorem tag {name!r}")
+THEOREM_BY_FLAG = {family.flag: family.tag for family in FAMILIES}
 
 
 def cmd_construct(args) -> int:
@@ -130,8 +95,15 @@ def cmd_construct(args) -> int:
     tail = args.tail
     if tail is not None and len(tail) == 1:
         tail = tail[0]
-    args.tail = tail
-    report = _run_named_construction(F, args)
+    report = construct_auto(
+        F,
+        args.n,
+        args.k,
+        gamma=args.gamma,
+        tail=tail,
+        permutation=args.permutation,
+        theorem=THEOREM_BY_FLAG.get(args.theorem),
+    )
     if not args.skip_verify:
         verify_report(report, _budget(args))
     if args.format == "json":
@@ -172,19 +144,9 @@ def _load_code(path: str) -> LinearCode:
 
 def cmd_verify(args) -> int:
     code = _load_code(args.input)
-    hull = code.hull_dimension()
-    mds, route, dist = code.mds_check(_budget(args))
-    verdict = {
-        "n": code.n,
-        "k": code.k,
-        "hull_dimension": hull,
-        "is_lcd": hull == 0,
-        "is_mds": mds,
-        "mds_route": route,
-        "min_distance": dist,
-    }
+    verdict = {"n": code.n, "k": code.k, **code.verdict(_budget(args))}
     sys.stdout.write(_dumps(verdict))
-    return EXIT_OK if (hull == 0 and mds) else EXIT_VERDICT_FAIL
+    return EXIT_OK if (verdict["is_lcd"] and verdict["is_mds"]) else EXIT_VERDICT_FAIL
 
 
 # ---------- sweep ----------
@@ -210,35 +172,22 @@ def _sweep_cell(F: Field, n: int, k: int, budget: int):
     row["condition"] = report.theorem
     try:
         verify_report(report, budget)
-        v = report.verified
-        row.update(
-            status="ok",
-            verified=True,
-            hull_dimension=v["hull_dimension"],
-            is_mds=v["is_mds"],
-            mds_route=v["mds_route"],
-            min_distance=v["min_distance"],
-        )
+        row["status"] = "ok"
     except BudgetExceeded:
         row["status"] = "budget_exceeded"
     except TheoremViolation:
-        v = report.verified
-        row.update(
-            status="violation",
-            hull_dimension=v["hull_dimension"],
-            is_mds=v["is_mds"],
-            mds_route=v["mds_route"],
-            min_distance=v["min_distance"],
-        )
+        row["status"] = "violation"
+    v = report.verified
+    if v is not None:
+        row["verified"] = row["status"] == "ok"
+        for key in ("hull_dimension", "is_mds", "mds_route", "min_distance"):
+            row[key] = v[key]
     return row, perf_counter() - start
 
 
 def cmd_sweep(args) -> int:
     F = _resolve_field(args)
-    if F.p == 2:
-        raise ParameterError(f"q = {F.q} has even characteristic; the sweep needs odd q")
-    if F.q <= 3:
-        raise ParameterError(f"q = {F.q} is too small; the sweep needs q > 3")
+    require_construction_field(F)
     n_max = args.n_max if args.n_max is not None else F.q + 1
     if n_max > F.q + 1:
         raise ParameterError(f"--n-max cannot exceed q + 1 = {F.q + 1}")
@@ -320,7 +269,9 @@ def _add_field_args(sub):
     sub.add_argument("--e", type=int, help="extension degree (default 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="lcdmds",
         description="Construct and verify complementary-dual MDS codes from "
@@ -334,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True, help="code dimension")
     c.add_argument(
         "--theorem",
-        choices=sorted(THEOREM_FLAGS),
+        choices=sorted(["auto", *THEOREM_BY_FLAG]),
         default="auto",
         help="which family to use (default: first applicable)",
     )

@@ -6,20 +6,17 @@ subgroup, searched multipliers), so a report can be re-checked from its
 parameters alone. verify_report then runs the generic hull and MDS oracles
 over the generator matrix and refuses to return a code that fails either.
 
-All families need an odd prime power q > 3 and a dimension 1 < k <= floor(n/2)
-(larger k is covered by duality: the dual of an LCD MDS code is again one).
-The families, tried in this order by construct_auto:
-
-  ExtendedQPlus1   n = q + 1   extended code over all q elements
-  DivisorOfQMinus1 n | q - 1   locators are the powers of an n-th root of unity
-  PrimePowerLength n = p^l     locators are an additive subgroup of order p^l
-  LargeNPlusK      n < q, n + k >= q + 1
-  Window2n         n < q, 2n - k < q <= 2n
+All families need an odd prime power q > 3, a length n <= q + 1 and a
+dimension 1 < k <= floor(n/2) (larger k is covered by duality: the dual of an
+LCD MDS code is again one). FAMILIES, at the end of this module, is the one
+table of the families: each row's tag, CLI flag, parameter condition and
+builder, in the order construct_auto tries them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NoConstructionApplies, ParameterError, TheoremViolation
 from .fields import Field
@@ -31,15 +28,6 @@ THEOREM_DIVISOR = "DivisorOfQMinus1"
 THEOREM_PRIME_POWER = "PrimePowerLength"
 THEOREM_LARGE_NK = "LargeNPlusK"
 THEOREM_WINDOW = "Window2n"
-
-ALL_THEOREMS = (
-    THEOREM_EXTENDED,
-    THEOREM_DIVISOR,
-    THEOREM_PRIME_POWER,
-    THEOREM_LARGE_NK,
-    THEOREM_WINDOW,
-)
-
 
 @dataclass
 class ConstructionReport:
@@ -63,7 +51,7 @@ class ConstructionReport:
         }
 
 
-def _require_construction_field(F: Field) -> None:
+def require_construction_field(F: Field) -> None:
     if F.p == 2:
         raise ParameterError(
             f"q = {F.q} has even characteristic; constructions need odd q"
@@ -107,7 +95,7 @@ def construct_extended(F: Field, k: int, gamma=None, permutation=None) -> Constr
     gamma on the rest; the split point depends on whether k = (q + 1)/2
     (case 2) or k < (q + 1)/2 (case 1).
     """
-    _require_construction_field(F)
+    require_construction_field(F)
     q = F.q
     _require_dims(q + 1, k)
     locators = _labeling(F, permutation)
@@ -140,7 +128,7 @@ def construct_divisor(F: Field, n: int, k: int, tail=None) -> ConstructionReport
     canonical element outside {-1, 0, 1} unless overridden (a single value or
     one value per tail coordinate).
     """
-    _require_construction_field(F)
+    require_construction_field(F)
     if n <= 1 or (F.q - 1) % n != 0:
         raise ParameterError(f"n = {n} does not divide q - 1 = {F.q - 1}")
     _require_dims(n, k)
@@ -167,7 +155,7 @@ def construct_prime_power(F: Field, level: int, k: int, gamma=None) -> Construct
     and recorded in the report. The scaling element gamma only needs
     gamma^2 != 1.
     """
-    _require_construction_field(F)
+    require_construction_field(F)
     if not 1 <= level <= F.e:
         raise ParameterError(f"subgroup degree must be in 1..{F.e}, got {level}")
     n = F.p**level
@@ -199,7 +187,7 @@ def construct_large_nk(F: Field, n: int, k: int, permutation=None) -> Constructi
     different from u_i; squares take (q - 1)/2 >= 2 distinct values, so the
     search cannot fail.
     """
-    _require_construction_field(F)
+    require_construction_field(F)
     q = F.q
     if not 1 < n < q:
         raise ParameterError(f"requires 1 < n < q, got n = {n}, q = {q}")
@@ -238,7 +226,7 @@ def construct_window(F: Field, n: int, k: int, permutation=None) -> Construction
     multiplier is the product of (a_i - x) over the first n - k of them,
     nonzero because locators and excluded elements are distinct.
     """
-    _require_construction_field(F)
+    require_construction_field(F)
     q = F.q
     if not 1 < n < q:
         raise ParameterError(f"requires 1 < n < q, got n = {n}, q = {q}")
@@ -270,52 +258,90 @@ def _prime_power_level(F: Field, n: int) -> int | None:
     return level if m == 1 and 1 <= level <= F.e else None
 
 
+@dataclass(frozen=True)
+class Family:
+    """One covered family. applies(F, n, k) assumes the shared boundary checks
+    passed; build(F, n, k, gamma, tail, permutation) uses the overrides it takes."""
+
+    tag: str
+    flag: str
+    condition: str
+    applies: Callable[[Field, int, int], bool]
+    build: Callable[..., ConstructionReport]
+
+
+FAMILIES = (
+    Family(
+        THEOREM_EXTENDED, "extended", "n = q + 1",
+        lambda F, n, k: n == F.q + 1,
+        lambda F, n, k, gamma, tail, perm: construct_extended(F, k, gamma, perm),
+    ),
+    Family(
+        THEOREM_DIVISOR, "divisor", "n divides q - 1",
+        lambda F, n, k: (F.q - 1) % n == 0,
+        lambda F, n, k, gamma, tail, perm: construct_divisor(F, n, k, tail),
+    ),
+    Family(
+        THEOREM_PRIME_POWER, "prime-power", "n = p^l with 1 <= l <= e",
+        lambda F, n, k: _prime_power_level(F, n) is not None,
+        lambda F, n, k, gamma, tail, perm: construct_prime_power(
+            F, _prime_power_level(F, n), k, gamma
+        ),
+    ),
+    Family(
+        THEOREM_LARGE_NK, "large-nk", "n < q and n + k >= q + 1",
+        lambda F, n, k: n < F.q and n + k >= F.q + 1,
+        lambda F, n, k, gamma, tail, perm: construct_large_nk(F, n, k, perm),
+    ),
+    Family(
+        THEOREM_WINDOW, "window", "n < q and 2n - k < q <= 2n",
+        lambda F, n, k: n < F.q and 2 * n - k < F.q <= 2 * n,
+        lambda F, n, k, gamma, tail, perm: construct_window(F, n, k, perm),
+    ),
+)
+
+ALL_THEOREMS = tuple(family.tag for family in FAMILIES)
+
+
 def applicable_conditions(F: Field, n: int, k: int) -> list[str]:
-    """Tags of every family whose parameter condition holds, in dispatch order."""
-    q = F.q
-    out = []
-    if n == q + 1:
-        out.append(THEOREM_EXTENDED)
-    if n > 1 and (q - 1) % n == 0:
-        out.append(THEOREM_DIVISOR)
-    if _prime_power_level(F, n) is not None:
-        out.append(THEOREM_PRIME_POWER)
-    if n < q and n + k >= q + 1:
-        out.append(THEOREM_LARGE_NK)
-    if n < q and 2 * n - k < q <= 2 * n:
-        out.append(THEOREM_WINDOW)
-    return out
+    """Tags of every family whose parameter condition holds, in dispatch order.
+
+    First runs the boundary checks every family shares (odd q > 3,
+    n <= q + 1, 1 < k <= n/2) and raises ParameterError if one fails.
+    """
+    require_construction_field(F)
+    if n > F.q + 1:
+        raise ParameterError(f"n = {n} exceeds q + 1 = {F.q + 1}")
+    _require_dims(n, k)
+    return [family.tag for family in FAMILIES if family.applies(F, n, k)]
 
 
 def construct_auto(
-    F: Field, n: int, k: int, gamma=None, tail=None, permutation=None
+    F: Field, n: int, k: int, gamma=None, tail=None, permutation=None, theorem=None
 ) -> ConstructionReport:
-    """Dispatch to the first family whose condition holds, in the fixed order.
+    """Build with the family tagged theorem, or else the first that applies.
 
-    Raises NoConstructionApplies when no family covers (n, k); that only
-    means none of the five constructions applies, not that no LCD MDS code
-    with these parameters exists.
+    A named family whose condition fails raises ParameterError naming the
+    condition. With no family named, NoConstructionApplies means none of the
+    five constructions covers (n, k), not that no LCD MDS code with these
+    parameters exists.
     """
-    _require_construction_field(F)
-    q = F.q
-    if n > q + 1:
-        raise ParameterError(f"n = {n} exceeds q + 1 = {q + 1}")
-    _require_dims(n, k)
-    if n == q + 1:
-        return construct_extended(F, k, gamma=gamma, permutation=permutation)
-    if n > 1 and (q - 1) % n == 0:
-        return construct_divisor(F, n, k, tail=tail)
-    level = _prime_power_level(F, n)
-    if level is not None:
-        return construct_prime_power(F, level, k, gamma=gamma)
-    if n < q and n + k >= q + 1:
-        return construct_large_nk(F, n, k, permutation=permutation)
-    if n < q and 2 * n - k < q <= 2 * n:
-        return construct_window(F, n, k, permutation=permutation)
-    raise NoConstructionApplies(
-        f"no covered family matches q = {q}, n = {n}, k = {k}; "
-        "this does not rule out an LCD MDS code with these parameters"
-    )
+    applicable = applicable_conditions(F, n, k)
+    if theorem is None:
+        if not applicable:
+            raise NoConstructionApplies(
+                f"no covered family matches q = {F.q}, n = {n}, k = {k}; "
+                "this does not rule out an LCD MDS code with these parameters"
+            )
+        theorem = applicable[0]
+    family = next((f for f in FAMILIES if f.tag == theorem), None)
+    if family is None:
+        raise ParameterError(f"unknown theorem tag {theorem!r}")
+    if theorem not in applicable:
+        raise ParameterError(
+            f"{theorem} needs {family.condition}; got q = {F.q}, n = {n}, k = {k}"
+        )
+    return family.build(F, n, k, gamma, tail, permutation)
 
 
 def verify_report(report: ConstructionReport, budget: int = DEFAULT_BUDGET) -> ConstructionReport:
@@ -326,19 +352,11 @@ def verify_report(report: ConstructionReport, budget: int = DEFAULT_BUDGET) -> C
     an acceptable outcome). BudgetExceeded propagates from the MDS check.
     """
     code = report.spec.generator()
-    hull = code.hull_dimension()
-    mds, route, dist = code.mds_check(budget)
-    report.verified = {
-        "hull_dimension": hull,
-        "is_lcd": hull == 0,
-        "is_mds": mds,
-        "mds_route": route,
-        "min_distance": dist,
-    }
-    if hull != 0 or not mds:
+    v = report.verified = code.verdict(budget)
+    if not (v["is_lcd"] and v["is_mds"]):
         raise TheoremViolation(
-            f"{report.theorem} produced a code with hull dimension {hull}, "
-            f"MDS = {mds} over {report.spec.field!r} "
+            f"{report.theorem} produced a code with hull dimension {v['hull_dimension']}, "
+            f"MDS = {v['is_mds']} over {report.spec.field!r} "
             f"(n = {code.n}, k = {code.k}); this is a bug"
         )
     return report

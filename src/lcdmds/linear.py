@@ -17,7 +17,9 @@ import numpy as np
 from .errors import BudgetExceeded, FieldMismatch, ParameterError
 from .fields import Field
 
-DEFAULT_BUDGET = 10**7
+# The one default work budget, for the library and the CLI alike: at most
+# this many enumerated codewords or eliminated column subsets per MDS check.
+DEFAULT_BUDGET = 10**6
 
 ROUTE_ENUMERATION = "enumeration"
 ROUTE_COLUMN_SUBSETS = "column_subsets"
@@ -275,6 +277,18 @@ class LinearCode:
 
     def is_mds(self, budget: int = DEFAULT_BUDGET) -> bool:
         return self.mds_check(budget)[0]
+
+    def verdict(self, budget: int = DEFAULT_BUDGET) -> dict:
+        """Hull dimension and MDS check, as the JSON-ready LCD/MDS verdict."""
+        hull = self.hull_dimension()
+        mds, route, dist = self.mds_check(budget)
+        return {
+            "hull_dimension": hull,
+            "is_lcd": hull == 0,
+            "is_mds": mds,
+            "mds_route": route,
+            "min_distance": dist,
+        }
 
     # -- serialization --
 

@@ -62,6 +62,22 @@ def subsets_nonsingular_scalar(code):
     return True
 
 
+def conditions_oracle(q, p, e, n, k):
+    """Independent restatement of the five covered parameter conditions."""
+    conds = []
+    if n == q + 1:
+        conds.append(1)
+    if n > 1 and (q - 1) % n == 0:
+        conds.append(2)
+    if any(n == p**level for level in range(1, e + 1)):
+        conds.append(3)
+    if n < q and n + k >= q + 1:
+        conds.append(4)
+    if n < q and 2 * n - k < q <= 2 * n:
+        conds.append(5)
+    return conds
+
+
 def multiplicative_order_brute(F, x):
     """Order of x by repeated multiplication, no log tables."""
     acc = x

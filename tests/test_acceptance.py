@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from conftest import in_dual_direct
+from conftest import conditions_oracle, in_dual_direct
 from lcdmds import (
     GrsSpec,
     LinearCode,
@@ -35,22 +35,6 @@ QS = (5, 7, 9, 11, 13)
 BUDGET = 10**6
 
 ODD_PRIME_POWERS_TO_27 = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27)
-
-
-def conditions_oracle(q, p, e, n, k):
-    """Independent restatement of the five covered parameter conditions."""
-    conds = []
-    if n == q + 1:
-        conds.append(1)
-    if n > 1 and (q - 1) % n == 0:
-        conds.append(2)
-    if any(n == p**level for level in range(1, e + 1)):
-        conds.append(3)
-    if n < q and n + k >= q + 1:
-        conds.append(4)
-    if n < q and 2 * n - k < q <= 2 * n:
-        conds.append(5)
-    return conds
 
 
 @dataclass

@@ -3,7 +3,7 @@ from time import perf_counter
 
 import pytest
 
-from lcdmds.cli import main
+from lcdmds.cli import build_parser, main
 
 pytestmark = pytest.mark.usefixtures("clean_budget_env")
 
@@ -197,3 +197,15 @@ def test_info(capsys):
     assert info["primitive_element"] == 4
     rc, out, _ = run(capsys, "info", "--q", "7", "--n", "5", "--k", "2")
     assert json.loads(out)["applicable_conditions"] == []
+
+
+def test_info_rejects_the_cells_construct_rejects(capsys):
+    for q, n, k in ((8, 7, 3), (7, 4, 3), (3, 4, 2)):
+        cell = ("--q", str(q), "--n", str(n), "--k", str(k))
+        rc, out, err = run(capsys, "info", *cell)
+        assert rc == 2 and out == ""
+        assert (rc, err) == run(capsys, "construct", *cell)[::2]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import re
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_min_distance
+from conftest import brute_min_distance, conditions_oracle
 from lcdmds import (
+    ALL_THEOREMS,
     BudgetExceeded,
     NoConstructionApplies,
     ParameterError,
@@ -20,9 +24,12 @@ from lcdmds import (
     construct_window,
     dual_multipliers,
     field,
+    field_from_order,
     verify_report,
 )
+from lcdmds.cli import build_parser
 from lcdmds.construct import (
+    FAMILIES,
     THEOREM_DIVISOR,
     THEOREM_EXTENDED,
     THEOREM_LARGE_NK,
@@ -272,6 +279,66 @@ def test_applicable_conditions_lists_all_matches():
     # n = q only matches the prime-power family (condition 4 needs n < q)
     assert applicable_conditions(F5, 5, 2) == [THEOREM_PRIME_POWER]
     assert applicable_conditions(F9, 8, 4) == [THEOREM_DIVISOR, THEOREM_LARGE_NK]
+
+
+# ---------- the family table ----------
+
+ODD_PRIME_POWERS = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 49, 81, 121, 125, 243)
+# conditions_oracle numbers the families 1..5
+ORACLE_TAGS = (
+    THEOREM_EXTENDED,
+    THEOREM_DIVISOR,
+    THEOREM_PRIME_POWER,
+    THEOREM_LARGE_NK,
+    THEOREM_WINDOW,
+)
+
+
+@st.composite
+def valid_cells(draw):
+    """An odd prime power q and a cell 4 <= n <= q + 1, 1 < k <= n/2.
+
+    Half the lengths come from the families' special values (q + 1, q,
+    divisors of q - 1, powers of p), since uniform n seldom hits them.
+    """
+    q = draw(st.sampled_from(ODD_PRIME_POWERS))
+    F = field_from_order(q)
+    special = sorted(
+        {q + 1, q}
+        | {d for d in range(4, q) if (q - 1) % d == 0}
+        | {F.p**level for level in range(1, F.e + 1) if F.p**level >= 4}
+    )
+    n = draw(st.one_of(st.sampled_from(special), st.integers(4, q + 1)))
+    k = draw(st.integers(2, n // 2))
+    return F, n, k
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(valid_cells())
+def test_family_table_matches_oracle(cell):
+    F, n, k = cell
+    expected = [ORACLE_TAGS[c - 1] for c in conditions_oracle(F.q, F.p, F.e, n, k)]
+    assert applicable_conditions(F, n, k) == expected
+    if expected:
+        assert construct_auto(F, n, k).theorem == expected[0]
+    else:
+        with pytest.raises(NoConstructionApplies):
+            construct_auto(F, n, k)
+    for family in FAMILIES:
+        if family.tag in expected:
+            report = construct_auto(F, n, k, theorem=family.tag)
+            assert report.theorem == family.tag
+            assert (report.spec.length, report.spec.k) == (n, k)
+        else:
+            with pytest.raises(ParameterError, match=re.escape(family.condition)):
+                construct_auto(F, n, k, theorem=family.tag)
+
+
+def test_theorem_names_come_from_the_table():
+    assert ALL_THEOREMS == ORACLE_TAGS
+    subparsers = build_parser()._subparsers._group_actions[0]
+    theorem = subparsers.choices["construct"]._option_string_actions["--theorem"]
+    assert theorem.choices == sorted(["auto", *(f.flag for f in FAMILIES)])
 
 
 # ---------- verification ----------
