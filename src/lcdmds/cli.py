@@ -254,7 +254,9 @@ def cmd_info(args) -> int:
         "primitive_element": F.primitive_element,
         "theorems": list(ALL_THEOREMS),
     }
-    if args.n is not None and args.k is not None:
+    if (args.n is None) != (args.k is None):
+        raise ParameterError("info needs both --n and --k to list applicable conditions")
+    if args.n is not None:
         info["applicable_conditions"] = applicable_conditions(F, args.n, args.k)
     sys.stdout.write(_dumps(info))
     return EXIT_OK

@@ -261,42 +261,44 @@ def _prime_power_level(F: Field, n: int) -> int | None:
 @dataclass(frozen=True)
 class Family:
     """One covered family. applies(F, n, k) assumes the shared boundary checks
-    passed; build(F, n, k, gamma, tail, permutation) uses the overrides it takes."""
+    passed; overrides names the keyword overrides build(F, n, k, **overrides)
+    accepts, and construct_auto rejects any other."""
 
     tag: str
     flag: str
     condition: str
+    overrides: tuple[str, ...]
     applies: Callable[[Field, int, int], bool]
     build: Callable[..., ConstructionReport]
 
 
 FAMILIES = (
     Family(
-        THEOREM_EXTENDED, "extended", "n = q + 1",
+        THEOREM_EXTENDED, "extended", "n = q + 1", ("gamma", "permutation"),
         lambda F, n, k: n == F.q + 1,
-        lambda F, n, k, gamma, tail, perm: construct_extended(F, k, gamma, perm),
+        lambda F, n, k, **kw: construct_extended(F, k, **kw),
     ),
     Family(
-        THEOREM_DIVISOR, "divisor", "n divides q - 1",
+        THEOREM_DIVISOR, "divisor", "n divides q - 1", ("tail",),
         lambda F, n, k: (F.q - 1) % n == 0,
-        lambda F, n, k, gamma, tail, perm: construct_divisor(F, n, k, tail),
+        construct_divisor,
     ),
     Family(
-        THEOREM_PRIME_POWER, "prime-power", "n = p^l with 1 <= l <= e",
+        THEOREM_PRIME_POWER, "prime-power", "n = p^l with 1 <= l <= e", ("gamma",),
         lambda F, n, k: _prime_power_level(F, n) is not None,
-        lambda F, n, k, gamma, tail, perm: construct_prime_power(
-            F, _prime_power_level(F, n), k, gamma
+        lambda F, n, k, **kw: construct_prime_power(
+            F, _prime_power_level(F, n), k, **kw
         ),
     ),
     Family(
-        THEOREM_LARGE_NK, "large-nk", "n < q and n + k >= q + 1",
+        THEOREM_LARGE_NK, "large-nk", "n < q and n + k >= q + 1", ("permutation",),
         lambda F, n, k: n < F.q and n + k >= F.q + 1,
-        lambda F, n, k, gamma, tail, perm: construct_large_nk(F, n, k, perm),
+        construct_large_nk,
     ),
     Family(
-        THEOREM_WINDOW, "window", "n < q and 2n - k < q <= 2n",
+        THEOREM_WINDOW, "window", "n < q and 2n - k < q <= 2n", ("permutation",),
         lambda F, n, k: n < F.q and 2 * n - k < F.q <= 2 * n,
-        lambda F, n, k, gamma, tail, perm: construct_window(F, n, k, perm),
+        construct_window,
     ),
 )
 
@@ -322,9 +324,10 @@ def construct_auto(
     """Build with the family tagged theorem, or else the first that applies.
 
     A named family whose condition fails raises ParameterError naming the
-    condition. With no family named, NoConstructionApplies means none of the
-    five constructions covers (n, k), not that no LCD MDS code with these
-    parameters exists.
+    condition, and so does an override (gamma, tail, permutation) that the
+    chosen family does not take. With no family named, NoConstructionApplies
+    means none of the five constructions covers (n, k), not that no LCD MDS
+    code with these parameters exists.
     """
     applicable = applicable_conditions(F, n, k)
     if theorem is None:
@@ -341,7 +344,15 @@ def construct_auto(
         raise ParameterError(
             f"{theorem} needs {family.condition}; got q = {F.q}, n = {n}, k = {k}"
         )
-    return family.build(F, n, k, gamma, tail, permutation)
+    given = {"gamma": gamma, "tail": tail, "permutation": permutation}
+    overrides = {name: value for name, value in given.items() if value is not None}
+    unused = [name for name in overrides if name not in family.overrides]
+    if unused:
+        raise ParameterError(
+            f"{theorem} does not take the {' or '.join(unused)} override; "
+            f"it takes {' or '.join(family.overrides)}"
+        )
+    return family.build(F, n, k, **overrides)
 
 
 def verify_report(report: ConstructionReport, budget: int = DEFAULT_BUDGET) -> ConstructionReport:

@@ -7,14 +7,16 @@ modulus is the first monic irreducible of degree e when coefficient tuples
 are compared low-degree-first, which makes every field, and everything built
 on top of it, bit-reproducible.
 
-Multiplication, inversion and powers run on log/antilog tables keyed to the
-first primitive element in canonical order; addition works on the base-p
-digits, with a full table for small extension fields. The order cap
-q <= 2^16 keeps the tables manageable.
+Each field builds one set of tables, keyed to the first primitive element g
+in canonical order: exp and log (log 0 is a sentinel that lands in a zero
+tail of exp, so a product needs no zero test), inverses, negatives and the
+Zech logarithm Z(m) = log(1 + g^m), which adds in an extension field through
+g^x + g^y = g^(x + Z(y - x)) (Huber, IEEE T-IT 36(4), 1990). Prime fields
+add modulo p. The order cap q <= 2^16 keeps the tables manageable.
 
 FieldArrays applies the same arithmetic element-wise to numpy arrays of
-element indices, for kernels that work on many matrices at once. Its tables
-are built on first use, never when the field is constructed.
+element indices, for kernels that work on many matrices at once. It wraps
+the field's tables as arrays on first use and builds none of its own.
 """
 
 from __future__ import annotations
@@ -175,19 +177,7 @@ class Field:
                 raise ParameterError(f"modulus must be monic of degree {e}")
             if not is_irreducible(list(self.modulus), p):
                 raise ParameterError("modulus is not irreducible")
-        self._digits = self._all_digits()
         self._build_tables()
-
-    def _all_digits(self) -> list[tuple[int, ...]]:
-        p, e = self.p, self.e
-        out = []
-        for i in range(self.q):
-            v, row = i, []
-            for _ in range(e):
-                v, r = divmod(v, p)
-                row.append(r)
-            out.append(tuple(row))
-        return out
 
     def _raw_mul(self, a: int, b: int) -> int:
         # table-free product, used only while bootstrapping the tables
@@ -205,52 +195,41 @@ class Field:
         return r
 
     def _build_tables(self):
-        q = self.q
-        radicals = [(q - 1) // r for r in prime_factors(q - 1)] if q > 2 else []
+        p, e, q = self.p, self.e, self.q
+        q1 = q - 1
+        weights = p ** np.arange(e, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
+        self._digits = list(map(tuple, digits.tolist()))
+        radicals = [q1 // r for r in prime_factors(q1)] if q > 2 else []
         g = 1
         for g in range(1, q):
             if all(self._raw_pow(g, m) != 1 for m in radicals):
                 break
         self.primitive_element = g
-        exp = [0] * (q - 1)
-        log = [0] * q
+        exp = [0] * q1
+        log = [2 * q1] * q  # the sentinel log 0 = 2(q - 1)
         x = 1
-        for i in range(q - 1):
+        for i in range(q1):
             exp[i] = x
             log[x] = i
             x = self._raw_mul(x, g)
-        self._exp = exp
         self._log = log
-        self._neg_table = [self._digit_neg(a) for a in range(q)]
-        # full addition table for small extension fields; prime fields and
-        # large fields use digit arithmetic instead
-        if self.e > 1 and q <= 512:
-            self._add_table = [
-                [self._digit_add(a, b) for b in range(q)] for a in range(q)
-            ]
-        else:
-            self._add_table = None
-
-    def _digit_add(self, a: int, b: int) -> int:
-        p = self.p
-        v = 0
-        for x, y in zip(reversed(self._digits[a]), reversed(self._digits[b])):
-            v = v * p + (x + y) % p
-        return v
-
-    def _digit_neg(self, a: int) -> int:
-        p = self.p
-        v = 0
-        for x in reversed(self._digits[a]):
-            v = v * p + (-x) % p
-        return v
+        # exp twice, then zeros: log a + log b >= 2(q - 1) iff a or b is 0
+        self._exp = exp + exp + [0] * (2 * q1 + 1)
+        one_plus = digits[exp]  # digits of g^m, m = 0..q-2
+        one_plus[:, 0] = (one_plus[:, 0] + 1) % p
+        # Zech and inverses share their int objects with log and exp
+        self._zech = [log[i] for i in (one_plus @ weights).tolist()]
+        self._neg = ((-digits % p) @ weights).tolist()
+        # q1 - log 0 = -(q - 1) indexes the zero tail; inv(0) raises anyway
+        self._inv = [self._exp[q1 - x] for x in log]
 
     @cached_property
     def arrays(self) -> "FieldArrays":
-        """Element-wise arithmetic on numpy index arrays, built on first use.
+        """Element-wise arithmetic on numpy index arrays, wrapped on first use.
 
-        Building twice (two threads racing on first use) is harmless: both
-        build the same tables and either may be kept.
+        Wrapping twice (two threads racing on first use) is harmless: both
+        copy the same tables and either may be kept.
         """
         return FieldArrays(self)
 
@@ -283,32 +262,32 @@ class Field:
         self.check(a), self.check(b)
         if self.e == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._digit_add(a, b)
+        return self._zech_add(a, b)
 
     def sub(self, a: int, b: int) -> int:
         self.check(a), self.check(b)
         if self.e == 1:
             return (a - b) % self.p
-        b = self._neg_table[b]
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._digit_add(a, b)
+        return self._zech_add(a, self._neg[b])
+
+    def _zech_add(self, a: int, b: int) -> int:
+        # g^x + g^y = g^(x + Z(y - x)); Z is indexed mod q - 1 by Python's
+        # negative indexing, and 1 + g^m = 0 lands in the zero tail of exp
+        if not a or not b:
+            return a or b
+        x = self._log[a]
+        return self._exp[x + self._zech[self._log[b] - x]]
 
     def neg(self, a: int) -> int:
-        self.check(a)
-        return self._neg_table[a]
+        return self._neg[self.check(a)]
 
     def mul(self, a: int, b: int) -> int:
-        if self.check(a) == 0 or self.check(b) == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[self.check(a)] + self._log[self.check(b)]]
 
     def inv(self, a: int) -> int:
         if self.check(a) == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
-        return self._exp[-self._log[a] % (self.q - 1)]
+        return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -377,34 +356,21 @@ class Field:
 class FieldArrays:
     """Field arithmetic applied element-wise to int64 arrays of element indices.
 
-    Prime fields compute modulo p. Extension fields multiply on exp/log
-    tables, where log 0 is a sentinel that lands in a zero tail of exp, and
-    add with one Zech-logarithm table Z(m) = log(1 + g^m), using
-    g^x + g^y = g^(x + Z(y - x)) (Huber, IEEE T-IT 36(4), 1990).
+    Prime fields compute modulo p. Extension fields use the field's own
+    tables as arrays: exp/log for products, and the Zech table with the
+    negation table for differences; zero operands are fixed up with where().
     """
 
     def __init__(self, F: Field):
-        p, e, q = F.p, F.e, F.q
-        self.p = p
-        self.prime = e == 1
-        q1 = q - 1
-        exp = np.array(F._exp, dtype=np.int64)
-        log = np.array(F._log, dtype=np.int64)
-        self.inv_table = exp[-log % q1]
-        self.inv_table[0] = 0  # never read: callers invert nonzero pivots only
+        self.p = F.p
+        self.prime = F.e == 1
+        self.inv_table = np.array(F._inv, dtype=np.int64)
         if self.prime:
             return
-        self.q1 = q1
-        zero_log = 2 * q1  # log[a] + log[b] >= 2(q - 1) iff a or b is 0
-        log[0] = zero_log
-        self.log = log
-        self.exp = np.concatenate([exp, exp, np.zeros(2 * q1 + 1, dtype=np.int64)])
-        weights = p ** np.arange(e, dtype=np.int64)
-        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
-        one_plus = digits[exp]  # digits of g^m, m = 0..q-2
-        one_plus[:, 0] = (one_plus[:, 0] + 1) % p
-        self.zech = log[one_plus @ weights]
-        self.neg = (-digits % p) @ weights
+        self.q1 = F.q - 1
+        self.exp, self.log, self.zech, self.neg = (
+            np.array(t, dtype=np.int64) for t in (F._exp, F._log, F._zech, F._neg)
+        )
 
     def mul(self, a, b):
         if self.prime:

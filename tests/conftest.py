@@ -62,6 +62,24 @@ def subsets_nonsingular_scalar(code):
     return True
 
 
+def digit_add(F, a, b):
+    """a + b by adding base-p digits mod p: the reference for the Zech table."""
+    p, total, weight = F.p, 0, 1
+    while a or b:
+        total += (a % p + b % p) % p * weight
+        a, b, weight = a // p, b // p, weight * p
+    return total
+
+
+def digit_neg(F, a):
+    """-a by negating each base-p digit mod p."""
+    p, total, weight = F.p, 0, 1
+    while a:
+        total += -(a % p) % p * weight
+        a, weight = a // p, weight * p
+    return total
+
+
 def conditions_oracle(q, p, e, n, k):
     """Independent restatement of the five covered parameter conditions."""
     conds = []

@@ -80,6 +80,18 @@ def test_construct_named_theorem_and_overrides(capsys):
     assert rc == 2 and "n = q + 1" in err
 
 
+def test_construct_rejects_overrides_the_family_does_not_take(capsys):
+    # q = 7, n = 6 is the divisor family (no gamma); n = 8 is extended (no tail)
+    for cell, override, family in (
+        (("--n", "6", "--k", "3"), ("--gamma", "3"), "DivisorOfQMinus1"),
+        (("--n", "8", "--k", "3"), ("--tail", "3"), "ExtendedQPlus1"),
+    ):
+        rc, out, err = run(capsys, "construct", "--q", "7", *cell, *override)
+        assert rc == 2 and out == ""
+        assert family in err and override[0].lstrip("-") in err
+        assert run(capsys, "construct", "--q", "7", *cell)[0] == 0
+
+
 def test_construct_skip_verify(capsys):
     rc, out, _ = run(
         capsys, "construct", "--q", "5", "--n", "4", "--k", "2", "--skip-verify"
@@ -205,6 +217,13 @@ def test_info_rejects_the_cells_construct_rejects(capsys):
         rc, out, err = run(capsys, "info", *cell)
         assert rc == 2 and out == ""
         assert (rc, err) == run(capsys, "construct", *cell)[::2]
+
+
+def test_info_needs_both_n_and_k(capsys):
+    for half in (("--n", "5"), ("--k", "2")):
+        rc, out, err = run(capsys, "info", "--q", "7", *half)
+        assert rc == 2 and out == ""
+        assert "--n and --k" in err
 
 
 def test_parser_is_built_once():

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import multiplicative_order_brute
+from conftest import digit_add, digit_neg, multiplicative_order_brute
 from lcdmds import Field, GrsSpec, LinearCode, ParameterError, field, field_from_order
 from lcdmds.fields import find_modulus, is_irreducible, is_prime, prime_factors
 
@@ -66,6 +66,31 @@ def test_field_arrays_match_scalar_ops(p, e):
     assert arrays.sub(x, y).tolist() == [F.sub(s, t) for s, t in zip(a, b)]
     units = [s for s in a if s]
     assert arrays.inv(np.array(units, dtype=np.int64)).tolist() == [F.inv(s) for s in units]
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (2, 4)])
+def test_add_sub_neg_match_digit_reference_exhaustive(p, e):
+    F = field(p, e)
+    for a in range(F.q):
+        assert F.neg(a) == digit_neg(F, a)
+        for b in range(F.q):
+            assert F.add(a, b) == digit_add(F, a, b)
+            assert F.sub(a, b) == digit_add(F, a, digit_neg(F, b))
+
+
+@pytest.mark.parametrize("p,e", [(3, 5), (2, 9), (3, 7), (127, 2)])
+def test_add_sub_neg_match_digit_reference_sampled(p, e):
+    # seeded pairs plus zero operands, a + (-a) and a - a (the Zech sentinel)
+    F = field(p, e)
+    rng = random.Random(p * 100 + e)
+    a = [rng.randrange(F.q) for _ in range(2000)]
+    pairs = [(x, rng.randrange(F.q)) for x in a]
+    pairs += [(x, 0) for x in a[:50]] + [(0, x) for x in a[:50]] + [(0, 0)]
+    pairs += [(x, x) for x in a[:50]] + [(x, digit_neg(F, x)) for x in a[:50]]
+    for x, y in pairs:
+        assert F.neg(x) == digit_neg(F, x)
+        assert F.add(x, y) == digit_add(F, x, y)
+        assert F.sub(x, y) == digit_add(F, x, digit_neg(F, y))
 
 
 def test_irreducibility_helper():
