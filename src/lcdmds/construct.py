@@ -21,7 +21,7 @@ from typing import Callable
 from .errors import NoConstructionApplies, ParameterError, TheoremViolation
 from .fields import Field
 from .grs import GrsSpec, dual_multipliers
-from .linear import DEFAULT_BUDGET
+from .linear import DEFAULT_BUDGET, mds_route
 
 THEOREM_EXTENDED = "ExtendedQPlus1"
 THEOREM_DIVISOR = "DivisorOfQMinus1"
@@ -360,9 +360,12 @@ def verify_report(report: ConstructionReport, budget: int = DEFAULT_BUDGET) -> C
 
     Fills report.verified and returns the report; raises TheoremViolation if
     the constructed code is not LCD or not MDS (which would be a bug, never
-    an acceptable outcome). BudgetExceeded propagates from the MDS check.
+    an acceptable outcome). BudgetExceeded is raised before the generator is
+    built when neither MDS route fits the budget.
     """
-    code = report.spec.generator()
+    spec = report.spec
+    mds_route(spec.field.q, spec.length, spec.k, budget)
+    code = spec.generator()
     v = report.verified = code.verdict(budget)
     if not (v["is_lcd"] and v["is_mds"]):
         raise TheoremViolation(

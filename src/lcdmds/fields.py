@@ -359,12 +359,15 @@ class FieldArrays:
     Prime fields compute modulo p. Extension fields use the field's own
     tables as arrays: exp/log for products, and the Zech table with the
     negation table for differences; zero operands are fixed up with where().
+    digits[a] holds the e base-p digits of element a, in the narrowest
+    unsigned type that also holds a sum of two digits.
     """
 
     def __init__(self, F: Field):
         self.p = F.p
         self.prime = F.e == 1
         self.inv_table = np.array(F._inv, dtype=np.int64)
+        self.digits = np.array(F._digits, dtype=np.min_scalar_type(2 * (F.p - 1)))
         if self.prime:
             return
         self.q1 = F.q - 1

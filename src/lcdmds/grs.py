@@ -144,16 +144,21 @@ class GrsSpec:
             raise FieldMismatch(f"{f.field!r} vs {F!r}")
         if f.degree > self.k - 1:
             raise ParameterError(f"message degree {f.degree} exceeds k - 1 = {self.k - 1}")
-        mul = F.mul
-        vsq = [mul(v, v) for v in self.multipliers]
-        values = [mul(w, f.eval(a)) for w, a in zip(vsq, self.locators)]
+        points = [(a, F.mul(s, f.eval(a))) for s, a in zip(self._dual_scale, self.locators)]
+        g = interpolate(F, points)
         if self.extended:
-            g = interpolate(F, list(zip(self.locators, values)))
             return g.degree <= F.q - self.k and g.coeff(F.q - self.k) == f.coeff(self.k - 1)
-        u = dual_multipliers(F, self.locators)
-        targets = [F.div(t, ui) for t, ui in zip(values, u)]
-        g = interpolate(F, list(zip(self.locators, targets)))
         return g.degree <= self.n - self.k - 1
+
+    @cached_property
+    def _dual_scale(self) -> tuple[int, ...]:
+        """in_dual's per-locator scale: v_i^2 / u_i, or v_i^2 when extended."""
+        F = self.field
+        vsq = [F.mul(v, v) for v in self.multipliers]
+        if self.extended:
+            return tuple(vsq)
+        u = dual_multipliers(F, self.locators)
+        return tuple(F.div(w, ui) for w, ui in zip(vsq, u))
 
     def to_dict(self) -> dict:
         return {

@@ -3,14 +3,16 @@
 This module holds the verification oracles everything else is checked
 against: reduced row echelon form and rank, dual codes via null spaces,
 intersection and hull dimensions, and two independent MDS tests (exhaustive
-codeword enumeration and nonsingularity of every k-column submatrix).
+enumeration of one codeword per projective point, and nonsingularity of
+every k-column submatrix).
 Matrices are sequences of rows of canonical element indices.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain, combinations, islice
-from math import comb
+from math import comb, log10
 
 import numpy as np
 
@@ -27,6 +29,34 @@ ROUTE_COLUMN_SUBSETS = "column_subsets"
 # The column-subset kernel eliminates max(1, SUBSET_BATCH_ENTRIES // k^2)
 # k x k submatrices at a time, which bounds its working set whatever C(n, k).
 SUBSET_BATCH_ENTRIES = 1 << 14
+
+
+def _amount(value: int, text: str) -> str:
+    """value in full up to 12 digits, else text with its order of magnitude."""
+    if value < 10**12:
+        return str(value)
+    exponent = int(log10(value))
+    mantissa = round(10 ** (log10(value) - exponent), 1)
+    if mantissa >= 10:
+        mantissa, exponent = mantissa / 10, exponent + 1
+    return f"{text} (~{mantissa:.1f}e{exponent})"
+
+
+def mds_route(q: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> str:
+    """The MDS route an [n, k] code over GF(q) takes within the budget.
+
+    Enumeration when q^k fits (the budget counts q^k although only one
+    codeword per projective point is weighed), else column subsets when
+    C(n, k) fits; raises BudgetExceeded when neither does, before any work.
+    """
+    if q**k <= budget:
+        return ROUTE_ENUMERATION
+    if comb(n, k) <= budget:
+        return ROUTE_COLUMN_SUBSETS
+    raise BudgetExceeded(
+        f"MDS check: neither {_amount(q**k, f'{q}^{k}')} codewords nor "
+        f"{_amount(comb(n, k), f'C({n}, {k})')} column subsets fit the budget {budget}"
+    )
 
 
 def _matrix(field: Field, rows) -> list[list[int]]:
@@ -191,10 +221,12 @@ class LinearCode:
     # -- minimum distance / MDS oracles --
 
     def minimum_distance(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Minimum Hamming weight over all q^k - 1 nonzero codewords.
+        """Minimum Hamming weight over all nonzero codewords.
 
-        Exhaustive message enumeration; raises BudgetExceeded when q^k is
-        over budget (use is_mds, which can fall back to column subsets).
+        Exhaustive enumeration of one codeword per projective point, which
+        weighs (q^k - 1)/(q - 1) of them; raises BudgetExceeded when q^k is
+        over budget, as the budget counts q^k (use is_mds, which can fall
+        back to column subsets).
         """
         if self.k == 0:
             raise ParameterError("zero-dimensional code has no minimum distance")
@@ -206,29 +238,35 @@ class LinearCode:
         return self._enumerate_min_weight()
 
     def _enumerate_min_weight(self) -> int:
-        F = self.field
+        """Minimum weight over one nonzero codeword per projective point.
+
+        c*x weighs as much as x for every nonzero c, so only messages whose
+        first nonzero entry is 1 are weighed: (q^k - 1)/(q - 1) codewords.
+        Going up from the last row, row r is weighed as gen[r] + span of the
+        rows below it, and then that span grows by every multiple of gen[r].
+        A set of m codewords is an (e, n, m) array of base-p digits. A digit
+        of x + y is zero exactly where x's digit is the negated digit of y.
+        Digits are unsigned and wide enough for 2(p - 1), so min(s, s - p)
+        reduces a sum s mod p (s - p wraps around when s < p).
+        """
+        F, arrays = self.field, self.field.arrays
         p, e, q = F.p, F.e, F.q
         n, k = self.n, self.k
-        dtype = np.int16 if p <= 16000 else np.int32
-        digits = np.array([F.coeffs(i) for i in range(q)], dtype=dtype)
-        mul = F.mul
-        scaled = []
-        for row in self.gen:
-            idx = np.array([[mul(c, x) for x in row] for c in range(q)])
-            scaled.append(digits[idx])  # (q, n, e) digit tensor of c*row
-        S = np.zeros((1, n, e), dtype=dtype)
-        for r in range(k - 1):
-            S = (S[:, None, :, :] + scaled[r][None, :, :, :]) % p
-            S = S.reshape(-1, n, e)
-        best = n + 1
-        last = scaled[k - 1]
-        for c in range(q):
-            T = (S + last[c]) % p
-            w = T.any(axis=2).sum(axis=1)
-            if c == 0:
-                w = w[1:]  # drop the all-zero message
-            if w.size:
-                best = min(best, int(w.min()))
+        digits = arrays.digits
+        dtype, count = digits.dtype.type, np.min_scalar_type(n)
+        gen = np.array(self.gen, dtype=np.int64)
+        # scaled[:, r, :, c] is the (e, n) digit array of c * gen[r]
+        scaled = np.take(digits.T, arrays.mul(gen[:, :, None], np.arange(q)), axis=1)
+        span = np.zeros((e, n, 1), dtype=dtype)
+        best = n
+        for r in range(k - 1, -1, -1):
+            negated = (p - scaled[:, r, :, 1:2]) % p
+            nonzero = reduce(np.logical_or, span != negated)
+            best = min(best, int(nonzero.sum(axis=0, dtype=count).min()))
+            if r:
+                grown = np.add(span[:, :, None, :], scaled[:, r, :, :, None], order="C")
+                span = grown.reshape(e, n, -1)
+                np.minimum(span, span - dtype(p), out=span)
         return best
 
     def mds_by_column_subsets(self, max_subsets: int | None = None) -> bool:
@@ -265,21 +303,21 @@ class LinearCode:
         """
         if self.k == 0:
             raise ParameterError("zero-dimensional code has no MDS predicate")
-        if self.field.q**self.k <= budget:
+        if mds_route(self.field.q, self.n, self.k, budget) == ROUTE_ENUMERATION:
             d = self._enumerate_min_weight()
             return d == self.n - self.k + 1, ROUTE_ENUMERATION, d
-        if comb(self.n, self.k) <= budget:
-            return self.mds_by_column_subsets(), ROUTE_COLUMN_SUBSETS, None
-        raise BudgetExceeded(
-            f"neither {self.field.q ** self.k} codewords nor "
-            f"{comb(self.n, self.k)} column subsets fit the budget {budget}"
-        )
+        return self.mds_by_column_subsets(), ROUTE_COLUMN_SUBSETS, None
 
     def is_mds(self, budget: int = DEFAULT_BUDGET) -> bool:
         return self.mds_check(budget)[0]
 
     def verdict(self, budget: int = DEFAULT_BUDGET) -> dict:
-        """Hull dimension and MDS check, as the JSON-ready LCD/MDS verdict."""
+        """Hull dimension and MDS check, as the JSON-ready LCD/MDS verdict.
+
+        The budget is checked before the hull is computed.
+        """
+        if self.k:
+            mds_route(self.field.q, self.n, self.k, budget)
         hull = self.hull_dimension()
         mds, route, dist = self.mds_check(budget)
         return {

@@ -37,6 +37,29 @@ def brute_min_distance(code):
     return best
 
 
+def min_distance_by_columns(code):
+    """Minimum distance of a code with k <= 2, from its columns alone.
+
+    A nonzero codeword vanishes on the zero columns and, when k = 2, on the
+    nonzero columns proportional to one fixed column; so d is n minus the
+    zero columns minus the largest class of proportional nonzero columns.
+    """
+    F = code.field
+    if code.k > 2:
+        raise ValueError("needs k <= 2")
+    classes = {}
+    zero = 0
+    for col in zip(*code.gen):
+        lead = next((x for x in col if x), None)
+        if lead is None:
+            zero += 1
+            continue
+        point = tuple(F.div(x, lead) for x in col) if code.k == 2 else ()
+        classes[point] = classes.get(point, 0) + 1
+    largest = max(classes.values()) if code.k == 2 else 0
+    return code.n - zero - largest
+
+
 def subsets_nonsingular_scalar(code):
     """MDS iff every k-column submatrix is nonsingular, one subset at a time.
 

@@ -145,6 +145,15 @@ def test_verify_budget_exit_5(capsys, tmp_path):
     assert rc == 5 and "budget" in err
 
 
+def test_construct_over_budget_exits_5_with_a_short_message(capsys):
+    start = perf_counter()
+    rc, out, err = run(capsys, "construct", "--q", "243", "--n", "244", "--k", "100",
+                       "--budget", "20000")
+    assert perf_counter() - start < 1
+    assert rc == 5 and out == ""
+    assert "MDS check" in err and "budget" in err and len(err.rstrip("\n")) < 200
+
+
 def test_budget_env_var(capsys, tmp_path, monkeypatch):
     rc, out, _ = run(capsys, "construct", "--q", "9", "--n", "9", "--k", "4")
     path = tmp_path / "big.json"

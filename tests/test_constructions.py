@@ -366,6 +366,15 @@ def test_verify_budget_exceeded():
         verify_report(r, budget=1)
 
 
+def test_budget_is_checked_before_the_generator_is_built():
+    # neither 243^100 codewords nor C(244, 100) subsets fit
+    report = construct_auto(field_from_order(243), 244, 100)
+    with pytest.raises(BudgetExceeded, match=r"MDS check: .*243\^100 \(~3\.6e238\)"):
+        verify_report(report, budget=20_000)
+    assert "_generator" not in report.spec.__dict__
+    assert report.verified is None
+
+
 def test_reports_are_deterministic():
     a = json.dumps(verify_report(construct_auto(F9, 8, 4)).to_dict(), sort_keys=True)
     b = json.dumps(verify_report(construct_auto(F9, 8, 4)).to_dict(), sort_keys=True)

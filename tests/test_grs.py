@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import lcdmds.grs
 from conftest import dot, in_dual_direct, random_grs_spec
 from lcdmds import (
     FieldMismatch,
@@ -146,6 +147,17 @@ def test_in_dual_trivial_cases():
     assert in_dual_direct(spec, Poly(F5, [1])) is False
     with pytest.raises(ParameterError, match="degree"):
         spec.in_dual(Poly(F5, [0, 0, 1]))
+
+
+def test_in_dual_scale_is_computed_once(monkeypatch):
+    calls = []
+    real = lcdmds.grs.dual_multipliers
+    monkeypatch.setattr(lcdmds.grs, "dual_multipliers", lambda *a: calls.append(a) or real(*a))
+    spec = GrsSpec(field(7), (0, 1, 2, 3, 5), (1, 2, 3, 4, 6), 2)
+    for coeffs in product(range(7), repeat=2):
+        f = Poly(spec.field, list(coeffs))
+        assert spec.in_dual(f) == in_dual_direct(spec, f)
+    assert len(calls) == 1
 
 
 def test_in_dual_matches_direct_check_exhaustively():

@@ -1,8 +1,15 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_min_distance, random_full_rank_code, subsets_nonsingular_scalar
+from conftest import (
+    brute_min_distance,
+    min_distance_by_columns,
+    random_full_rank_code,
+    subsets_nonsingular_scalar,
+)
 from lcdmds import (
     BudgetExceeded,
     FieldMismatch,
@@ -12,7 +19,7 @@ from lcdmds import (
     field,
     rref,
 )
-from lcdmds.linear import SUBSET_BATCH_ENTRIES
+from lcdmds.linear import SUBSET_BATCH_ENTRIES, mds_route
 
 F5 = field(5)
 
@@ -139,6 +146,84 @@ def test_minimum_distance_matches_bruteforce_random():
             assert code.minimum_distance() == brute_min_distance(code)
 
 
+def test_minimum_distance_kernel_cases():
+    """The projective enumeration against the pure-Python references.
+
+    The kernel weighs one codeword per projective point, row by row from the
+    last; these cases need every row's branch, including the last.
+    """
+    rng = random.Random(5)
+    codes = []
+    # k <= 2 on GF(2), GF(2^3), GF(27) and GF(3^7); k = 1 on GF(127^2)
+    for F, max_k in ((field(2), 2), (field(2, 3), 2), (field(3, 3), 2),
+                     (field(3, 7), 2), (field(127, 2), 1)):
+        for _ in range(4):
+            n = rng.randint(1, 6)
+            k = rng.randint(1, min(max_k, n))
+            codes.append(random_full_rank_code(F, n, k, rng))
+    for F in (field(5), field(3, 2)):
+        # k = 1, k = n, a zero column, and a generator not in RREF
+        codes += [
+            random_full_rank_code(F, 5, 1, rng),
+            random_full_rank_code(F, 4, 4, rng),
+            LinearCode(F, [[1, 0, 2, 0], [0, 1, 1, 0]]),
+            LinearCode(F, [[0, 1, 1, 1, 1], [1, 0, 0, 0, 1], [1, 1, 0, 0, 0]]),
+        ]
+        # the weight-1 words are multiples of row r alone, and the message
+        # of each has its first nonzero entry at r; the rest weigh >= 4
+        rs = GrsSpec(F, (0, 1, 2, 3, 4), (1,) * 5, 2).generator().gen
+        for r in range(3):
+            rows = [row + (0,) for row in rs]
+            rows.insert(r, (0,) * 5 + (1,))
+            code = LinearCode(F, rows)
+            assert code.minimum_distance() == 1
+            codes.append(code)
+    for code in codes:
+        d = code.minimum_distance(budget=code.field.q**code.k)
+        if code.field.q**code.k <= 20_000:
+            assert d == brute_min_distance(code), code.gen
+        if code.k <= 2:
+            assert d == min_distance_by_columns(code), code.gen
+
+
+FIELDS = [field(2), field(3), field(2, 2), field(5), field(2, 3), field(7),
+          field(3, 2), field(3, 3), field(3, 7), field(127, 2)]
+
+
+@st.composite
+def small_codes(draw):
+    F = draw(st.sampled_from(FIELDS))
+    # q^k small enough for brute force, or k <= 2 for the column reference
+    max_k = 3 if F.q**3 <= 2500 else 2
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(n, max_k)))
+    gen = draw(st.lists(st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n),
+                        min_size=k, max_size=k))
+    try:
+        code = LinearCode(F, gen)
+    except ParameterError:
+        assume(False)
+    r = draw(st.integers(0, k - 1))
+    c = draw(st.integers(1, F.q - 1))
+    return code, r, c
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(small_codes())
+def test_minimum_distance_property(case):
+    code, r, c = case
+    F, budget = code.field, code.field.q**code.k
+    d = code.minimum_distance(budget=budget)
+    if budget <= 2500:
+        assert d == brute_min_distance(code)
+    if code.k <= 2:
+        assert d == min_distance_by_columns(code)
+    # scaling a generator row by a nonzero c changes no codeword's weight
+    rows = [list(row) for row in code.gen]
+    rows[r] = [F.mul(c, x) for x in rows[r]]
+    assert LinearCode(F, rows).minimum_distance(budget=budget) == d
+
+
 def test_minimum_distance_budget():
     code = GrsSpec(field(3, 2), tuple(range(9)), (1,) * 9, 4).generator()
     with pytest.raises(BudgetExceeded):
@@ -215,6 +300,36 @@ def test_mds_check_routes_and_budget():
         code.mds_check(budget=1)
     with pytest.raises(BudgetExceeded):
         code.mds_by_column_subsets(max_subsets=10)
+
+
+def test_budget_is_checked_before_the_hull(monkeypatch):
+    code = GrsSpec(field(3, 2), tuple(range(9)), (1,) * 9, 4).generator()
+
+    def no_hull(self):
+        raise AssertionError("hull computed before the budget check")
+
+    monkeypatch.setattr(LinearCode, "hull_dimension", no_hull)
+    with pytest.raises(BudgetExceeded, match="MDS check"):
+        code.verdict(budget=100)
+
+
+def test_mds_route_and_budget_message():
+    assert mds_route(9, 9, 4, 10**6) == "enumeration"
+    assert mds_route(9, 9, 4, 5000) == "column_subsets"
+    with pytest.raises(BudgetExceeded) as small:
+        mds_route(9, 9, 4, 100)
+    assert str(small.value) == (
+        "MDS check: neither 6561 codewords nor 126 column subsets fit the budget 100"
+    )
+    # amounts over 12 digits are written as an expression and a magnitude
+    with pytest.raises(BudgetExceeded) as big:
+        mds_route(243, 244, 100, 20_000)
+    assert str(big.value) == (
+        "MDS check: neither 243^100 (~3.6e238) codewords nor "
+        "C(244, 100) (~2.7e70) column subsets fit the budget 20000"
+    )
+    with pytest.raises(BudgetExceeded, match=r"65521\^1000 \(~2\.4e4816\)"):
+        mds_route(65521, 1001, 1000, 10)
 
 
 def test_code_serialization_roundtrip():
