@@ -8,7 +8,7 @@ linear.DEFAULT_BUDGET, 10^6 enumerated codewords or column subsets, the same
 default the library uses; --budget or LCDMDS_BUDGET override it.
 
 All JSON output is canonical (sorted keys, fixed indentation, no timestamps)
-so identical inputs produce byte-identical bytes regardless of parallelism.
+so identical inputs produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 from .construct import (
@@ -82,7 +81,13 @@ def _default_budget() -> int:
 
 
 def _budget(args) -> int:
-    return args.budget if args.budget is not None else _default_budget()
+    if args.budget is not None:
+        budget, source = args.budget, "--budget"
+    else:
+        budget, source = _default_budget(), BUDGET_ENV
+    if budget < 0:
+        raise ParameterError(f"{source} must not be negative, got {budget}")
+    return budget
 
 
 # ---------- construct ----------
@@ -132,7 +137,7 @@ def _load_code(path: str) -> LinearCode:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read code file {path!r}: {exc}")
     try:
         return LinearCode.from_dict(data)
@@ -143,8 +148,9 @@ def _load_code(path: str) -> LinearCode:
 
 
 def cmd_verify(args) -> int:
+    budget = _budget(args)
     code = _load_code(args.input)
-    verdict = {"n": code.n, "k": code.k, **code.verdict(_budget(args))}
+    verdict = {"n": code.n, "k": code.k, **code.verdict(budget)}
     sys.stdout.write(_dumps(verdict))
     return EXIT_OK if (verdict["is_lcd"] and verdict["is_mds"]) else EXIT_VERDICT_FAIL
 
@@ -192,18 +198,9 @@ def cmd_sweep(args) -> int:
     if n_max > F.q + 1:
         raise ParameterError(f"--n-max cannot exceed q + 1 = {F.q + 1}")
     budget = _budget(args)
-    grid = [(n, k) for n in range(4, n_max + 1) for k in range(2, n // 2 + 1)]
-
-    def work(cell):
-        n, k = cell
-        return _sweep_cell(F, n, k, budget)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, grid))
-    else:
-        results = [work(cell) for cell in grid]
-
+    results = [
+        _sweep_cell(F, n, k, budget) for n in range(4, n_max + 1) for k in range(2, n // 2 + 1)
+    ]
     rows = [row for row, _ in results]
     result = {
         "q": F.q,
@@ -228,8 +225,11 @@ def cmd_sweep(args) -> int:
 
     payload = _dumps(result)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.output!r}: {exc}")
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(payload)
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(s)
     s.add_argument("--n-max", type=int, help="largest length to try (default q + 1)")
     s.add_argument("--budget", type=int, help="verification work budget per cell")
-    s.add_argument("--jobs", type=int, default=1, help="worker threads")
     s.add_argument("--output", help="write the JSON result here instead of stdout")
     s.set_defaults(func=cmd_sweep)
 

@@ -226,11 +226,7 @@ class Field:
 
     @cached_property
     def arrays(self) -> "FieldArrays":
-        """Element-wise arithmetic on numpy index arrays, wrapped on first use.
-
-        Wrapping twice (two threads racing on first use) is harmless: both
-        copy the same tables and either may be kept.
-        """
+        """Element-wise arithmetic on numpy index arrays, wrapped on first use."""
         return FieldArrays(self)
 
     # -- element plumbing --
@@ -403,6 +399,9 @@ def field_from_order(q: int) -> Field:
     """Field of the given prime-power order q."""
     if q < 2:
         raise ParameterError(f"{q} is not a prime power")
+    # before prime_factors, whose trial division does not end on a huge q
+    if q > MAX_ORDER:
+        raise ParameterError(f"field order {q} exceeds the supported cap 2^16")
     p = min(prime_factors(q))
     e = 0
     n = q

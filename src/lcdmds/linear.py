@@ -48,7 +48,10 @@ def mds_route(q: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> str:
     Enumeration when q^k fits (the budget counts q^k although only one
     codeword per projective point is weighed), else column subsets when
     C(n, k) fits; raises BudgetExceeded when neither does, before any work.
+    The only place MDS work is compared with the budget.
     """
+    if k == 0:
+        raise ParameterError("zero-dimensional code has no MDS predicate")
     if q**k <= budget:
         return ROUTE_ENUMERATION
     if comb(n, k) <= budget:
@@ -224,16 +227,15 @@ class LinearCode:
         """Minimum Hamming weight over all nonzero codewords.
 
         Exhaustive enumeration of one codeword per projective point, which
-        weighs (q^k - 1)/(q - 1) of them; raises BudgetExceeded when q^k is
-        over budget, as the budget counts q^k (use is_mds, which can fall
-        back to column subsets).
+        weighs (q^k - 1)/(q - 1) of them; raises BudgetExceeded unless
+        mds_route picks enumeration (use is_mds, which can fall back to
+        column subsets).
         """
-        if self.k == 0:
-            raise ParameterError("zero-dimensional code has no minimum distance")
-        total = self.field.q**self.k
-        if total > budget:
+        q, k = self.field.q, self.k
+        if mds_route(q, self.n, k, budget) != ROUTE_ENUMERATION:
             raise BudgetExceeded(
-                f"enumerating {total} codewords exceeds the budget {budget}"
+                f"minimum distance: {_amount(q**k, f'{q}^{k}')} codewords "
+                f"exceed the budget {budget}"
             )
         return self._enumerate_min_weight()
 
@@ -269,19 +271,15 @@ class LinearCode:
                 np.minimum(span, span - dtype(p), out=span)
         return best
 
-    def mds_by_column_subsets(self, max_subsets: int | None = None) -> bool:
+    def mds_by_column_subsets(self) -> bool:
         """MDS iff every k-subset of generator columns is nonsingular.
 
         The subsets are eliminated in batches by one exact numpy kernel; the
-        scan stops at the first batch that holds a singular subset.
+        scan stops at the first batch that holds a singular subset. It runs
+        whatever C(n, k); mds_check decides when it fits the budget.
         """
         if self.k == 0:
             raise ParameterError("zero-dimensional code has no MDS predicate")
-        total = comb(self.n, self.k)
-        if max_subsets is not None and total > max_subsets:
-            raise BudgetExceeded(
-                f"{total} column subsets exceed the budget {max_subsets}"
-            )
         k = self.k
         columns = np.array(self.gen, dtype=np.int64).T
         arrays = self.field.arrays
@@ -301,8 +299,6 @@ class LinearCode:
 
         min_distance is None when the column-subset route decided.
         """
-        if self.k == 0:
-            raise ParameterError("zero-dimensional code has no MDS predicate")
         if mds_route(self.field.q, self.n, self.k, budget) == ROUTE_ENUMERATION:
             d = self._enumerate_min_weight()
             return d == self.n - self.k + 1, ROUTE_ENUMERATION, d
@@ -314,12 +310,10 @@ class LinearCode:
     def verdict(self, budget: int = DEFAULT_BUDGET) -> dict:
         """Hull dimension and MDS check, as the JSON-ready LCD/MDS verdict.
 
-        The budget is checked before the hull is computed.
+        The MDS check runs first, so an over-budget code costs no hull.
         """
-        if self.k:
-            mds_route(self.field.q, self.n, self.k, budget)
-        hull = self.hull_dimension()
         mds, route, dist = self.mds_check(budget)
+        hull = self.hull_dimension()
         return {
             "hull_dimension": hull,
             "is_lcd": hull == 0,

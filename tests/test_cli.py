@@ -126,6 +126,11 @@ def test_verify_malformed_input_exit_2(capsys, tmp_path):
     rc, _, _ = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert rc == 2
 
+    path3 = tmp_path / "utf16.json"
+    path3.write_bytes(b"\xff\xfe{\x00}\x00")
+    rc, _, err = run(capsys, "verify", str(path3))
+    assert rc == 2 and "cannot read code file" in err
+
 
 def test_verify_huge_field_exits_2_at_once(capsys, tmp_path):
     for record in ({"p": 2**61 - 1, "e": 1}, {"p": 3, "e": 10**9}):
@@ -135,6 +140,16 @@ def test_verify_huge_field_exits_2_at_once(capsys, tmp_path):
         rc, _, err = run(capsys, "verify", str(path))
         assert perf_counter() - start < 1
         assert rc == 2 and "cap" in err and "Traceback" not in err
+
+
+def test_huge_q_exits_2_at_once(capsys):
+    q = str(2**61 - 1)
+    for argv in (("info", "--q", q), ("sweep", "--q", q),
+                 ("construct", "--q", q, "--n", "4", "--k", "2")):
+        start = perf_counter()
+        rc, _, err = run(capsys, *argv)
+        assert perf_counter() - start < 1
+        assert rc == 2 and "cap 2^16" in err and "Traceback" not in err
 
 
 def test_verify_budget_exit_5(capsys, tmp_path):
@@ -164,6 +179,15 @@ def test_budget_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("LCDMDS_BUDGET", "junk")
     rc, _, err = run(capsys, "verify", str(path))
     assert rc == 2 and "LCDMDS_BUDGET" in err
+    monkeypatch.setenv("LCDMDS_BUDGET", "-3")
+    rc, _, err = run(capsys, "verify", str(path))
+    assert rc == 2 and "LCDMDS_BUDGET" in err and "-3" in err
+    monkeypatch.delenv("LCDMDS_BUDGET")
+    rc, _, err = run(capsys, "verify", str(path), "--budget", "-1")
+    assert rc == 2 and "--budget" in err and "-1" in err
+    # the budget is checked before the code file is read
+    rc, _, err = run(capsys, "verify", str(tmp_path / "missing.json"), "--budget", "-1")
+    assert rc == 2 and "--budget" in err
 
 
 def test_sweep_q5(capsys, tmp_path):
@@ -195,11 +219,10 @@ def test_sweep_rejects_bad_fields(capsys):
     assert rc == 2 and "q > 3" in err
 
 
-def test_sweep_deterministic_across_jobs(capsys, tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(capsys, "sweep", "--q", "9", "--output", str(a))[0] == 0
-    assert run(capsys, "sweep", "--q", "9", "--output", str(b), "--jobs", "3")[0] == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_sweep_unwritable_output_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    rc, _, err = run(capsys, "sweep", "--q", "5", "--output", str(path))
+    assert rc == 2 and "lcdmds: cannot write" in err and "Traceback" not in err
 
 
 def test_sweep_table_rendering(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -298,8 +299,6 @@ def test_mds_check_routes_and_budget():
     assert ok and route == "column_subsets" and dist is None
     with pytest.raises(BudgetExceeded):
         code.mds_check(budget=1)
-    with pytest.raises(BudgetExceeded):
-        code.mds_by_column_subsets(max_subsets=10)
 
 
 def test_budget_is_checked_before_the_hull(monkeypatch):
@@ -330,6 +329,19 @@ def test_mds_route_and_budget_message():
     )
     with pytest.raises(BudgetExceeded, match=r"65521\^1000 \(~2\.4e4816\)"):
         mds_route(65521, 1001, 1000, 10)
+    with pytest.raises(ParameterError, match="zero-dimensional"):
+        mds_route(9, 9, 0, 10**6)
+
+
+def test_minimum_distance_budget_message_is_short():
+    F = field(3, 7)
+    code = LinearCode(F, [[int(i == j) for j in range(4)] + [1, i + 2] for i in range(4)])
+    # budget 10: neither route fits; budget 100: C(6, 4) = 15 fits, enumeration does not
+    for budget, where in ((10, "MDS check"), (100, "minimum distance")):
+        with pytest.raises(BudgetExceeded, match=where) as exc:
+            code.minimum_distance(budget)
+        assert "2187^4 (~2.3e13)" in str(exc.value)
+        assert not re.search(r"\d{13}", str(exc.value))
 
 
 def test_code_serialization_roundtrip():
