@@ -198,6 +198,20 @@ def cmd_sweep(args) -> int:
     if n_max > F.q + 1:
         raise ParameterError(f"--n-max cannot exceed q + 1 = {F.q + 1}")
     budget = _budget(args)
+    if not args.output:
+        return _sweep(F, n_max, budget, sys.stdout)
+    # opened before the first cell, so an unwritable path costs no work
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            status = _sweep(F, n_max, budget, fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {args.output!r}: {exc}")
+    print(f"wrote {args.output}")
+    return status
+
+
+def _sweep(F: Field, n_max: int, budget: int, out) -> int:
+    """Run every cell, print the table, write the JSON result to out."""
     results = [
         _sweep_cell(F, n, k, budget) for n in range(4, n_max + 1) for k in range(2, n // 2 + 1)
     ]
@@ -222,17 +236,7 @@ def cmd_sweep(args) -> int:
             f"{row['n']:>4} {row['k']:>3}  {row['condition']:<18} {row['status']:<16} "
             f"{hull:>4} {mds:>4}  {route:<15} {dist:>3} {secs * 1000:>8.1f}"
         )
-
-    payload = _dumps(result)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise ParameterError(f"cannot write {args.output!r}: {exc}")
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(payload)
+    out.write(_dumps(result))
 
     if any(row["status"] == "violation" for row in rows):
         return EXIT_VIOLATION

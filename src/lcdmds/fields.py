@@ -62,6 +62,13 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def json_int(value, name: str) -> int:
+    """value, which must be a JSON integer: not a float, a string or a bool."""
+    if value.__class__ is not int:
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 # ---------- polynomial arithmetic over GF(p) for the modulus search ----------
 # Coefficient lists, low degree first, trailing zeros trimmed.
 
@@ -141,9 +148,10 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
 def find_modulus(p: int, e: int) -> tuple[int, ...]:
     """First monic irreducible of degree e, low-degree-first coefficient order.
 
-    For e = 1 this is X itself, the prime-field convention.
+    For e = 1 this is X itself, the prime-field convention. For e >= 2 a zero
+    constant term makes X a factor, so those candidates are skipped.
     """
-    for low in product(range(p), repeat=e):
+    for low in product(range(1 if e > 1 else 0, p), *[range(p)] * (e - 1)):
         cand = list(low) + [1]
         if is_irreducible(cand, p):
             return tuple(cand)
@@ -342,9 +350,9 @@ class Field:
     def from_dict(cls, d: dict) -> "Field":
         """The field of a serialized record; the shared field() instance when
         the modulus is absent or canonical, else a validated new Field."""
-        p, e, modulus = int(d["p"]), int(d["e"]), d.get("modulus")
+        p, e, modulus = json_int(d["p"], "p"), json_int(d["e"], "e"), d.get("modulus")
         F = field(p, e)
-        if modulus is None or tuple(int(c) % p for c in modulus) == F.modulus:
+        if modulus is None or tuple(json_int(c, "modulus") % p for c in modulus) == F.modulus:
             return F
         return cls(p, e, modulus)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import FieldMismatch, ParameterError
-from .fields import Field
+from .fields import Field, json_int
 from .linear import LinearCode
 from .poly import Poly, interpolate
 
@@ -176,6 +176,6 @@ class GrsSpec:
             F,
             tuple(d["locators"]),
             tuple(d["multipliers"]),
-            int(d["k"]),
+            json_int(d["k"], "k"),
             bool(d.get("extended", False)),
         )

@@ -5,7 +5,9 @@ against: reduced row echelon form and rank, dual codes via null spaces,
 intersection and hull dimensions, and two independent MDS tests (exhaustive
 enumeration of one codeword per projective point, and nonsingularity of
 every k-column submatrix).
-Matrices are sequences of rows of canonical element indices.
+Matrices are sequences of rows of canonical element indices. Their elements
+are checked once, in _matrix; then RREF (one Gauss-Jordan step per pivot)
+and the product G Gt behind the hull run on the field's shared FieldArrays.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import comb, log10
 import numpy as np
 
 from .errors import BudgetExceeded, FieldMismatch, ParameterError
-from .fields import Field
+from .fields import Field, json_int
 
 # The one default work budget, for the library and the CLI alike: at most
 # this many enumerated codewords or eliminated column subsets per MDS check.
@@ -78,45 +80,39 @@ def rref(field: Field, rows):
     M = _matrix(field, rows)
     if not M:
         return (), 0, ()
-    n = len(M[0])
-    mul, sub, inv = field.mul, field.sub, field.inv
+    arrays = field.arrays
+    A = np.array(M, dtype=np.int64)
     pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if pr is None:
+    for c in range(A.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(A[r:, c])
+        if not below.size:
             continue
-        M[r], M[pr] = M[pr], M[r]
-        s = inv(M[r][c])
-        M[r] = [mul(s, x) for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [sub(x, mul(f, y)) for x, y in zip(M[i], M[r])]
+        # no swap: row r moves to the pivot's place, the scaled pivot row to r
+        pr = r + below[0]
+        pivot_row = arrays.mul(A[pr], arrays.inv(A[pr, c]))
+        A[pr] = A[r]
+        A = arrays.sub(A, arrays.mul(A[:, c : c + 1], pivot_row))
+        A[r] = pivot_row
         pivots.append(c)
-        r += 1
-        if r == len(M):
-            break
-    return tuple(tuple(row) for row in M), r, tuple(pivots)
+    return tuple(map(tuple, A.tolist())), len(pivots), tuple(pivots)
 
 
 def mat_mul(field: Field, A, B):
-    """Exact matrix product over the field."""
+    """Exact matrix product over the field: in an extension field the base-p
+    digits of the entry-wise products are summed mod p along the inner axis."""
     A = _matrix(field, A)
     B = _matrix(field, B)
     if A and B and len(A[0]) != len(B):
         raise ParameterError("inner dimensions do not match")
-    add, mul = field.add, field.mul
-    out = []
-    for row in A:
-        acc = [0] * (len(B[0]) if B else 0)
-        for a, brow in zip(row, B):
-            if a:
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] = add(acc[j], mul(a, b))
-        out.append(acc)
-    return out
+    if not (A and B):
+        return [[] for _ in A]
+    a, b, p = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), field.p
+    if field.e == 1:
+        return (a @ b % p).tolist()
+    arrays = field.arrays
+    sums = arrays.digits[arrays.mul(a[:, :, None], b)].sum(axis=1, dtype=np.int64) % p
+    return (sums @ p ** np.arange(field.e)).tolist()
 
 
 def _all_nonsingular(arrays, stack) -> bool:
@@ -149,13 +145,10 @@ class LinearCode:
 
     def __init__(self, field: Field, gen, n: int | None = None):
         M = _matrix(field, gen)
-        if M:
-            length = len(M[0])
-        elif n is not None:
-            length = int(n)
-        else:
+        if n is None and not M:
             raise ParameterError("zero-dimensional code needs an explicit length")
-        if n is not None and M and int(n) != length:
+        length = len(M[0]) if M else int(n)
+        if n is not None and int(n) != length:
             raise ParameterError("explicit length disagrees with the generator")
         if length < 1:
             raise ParameterError("code length must be positive")
@@ -187,13 +180,9 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         """The dual code under the standard inner product, in RREF."""
         F = self.field
-        if self.k == 0:
-            ident = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-            return LinearCode(F, ident)
-        R, rank, pivots = rref(F, self.gen)
-        pivot_set = set(pivots)
+        R, _, pivots = rref(F, self.gen)
         rows = []
-        for f in (j for j in range(self.n) if j not in pivot_set):
+        for f in (j for j in range(self.n) if j not in pivots):
             w = [0] * self.n
             w[f] = 1
             for r, pc in enumerate(pivots):
@@ -201,8 +190,7 @@ class LinearCode:
             rows.append(w)
         if not rows:
             return LinearCode(F, [], n=self.n)
-        canon, rank, _ = rref(F, rows)
-        return LinearCode(F, canon[:rank])
+        return LinearCode(F, rref(F, rows)[0])  # rows are independent
 
     def intersection_dim(self, other: "LinearCode") -> int:
         """dim(C1 and C2) = k1 + k2 - rank of the stacked generators."""
@@ -212,8 +200,6 @@ class LinearCode:
 
     def hull_dimension(self) -> int:
         """dim(C and C-dual) = k - rank(G Gt)."""
-        if self.k == 0:
-            return 0
         gt = [[row[j] for row in self.gen] for j in range(self.n)]
         _, rank, _ = rref(self.field, mat_mul(self.field, self.gen, gt))
         return self.k - rank
@@ -334,5 +320,5 @@ class LinearCode:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearCode":
-        F = Field.from_dict(d["field"])
-        return cls(F, d["generator"], n=d.get("n"))
+        F, n = Field.from_dict(d["field"]), d.get("n")
+        return cls(F, d["generator"], n=None if n is None else json_int(n, "n"))

@@ -85,6 +85,47 @@ def subsets_nonsingular_scalar(code):
     return True
 
 
+def rref_scalar(F, rows):
+    """Gauss-Jordan elimination on Field ops, one entry at a time.
+
+    The reference for linear.rref: same pivot rule, same return value.
+    """
+    M = [list(row) for row in rows]
+    if not M:
+        return (), 0, ()
+    mul, sub, inv = F.mul, F.sub, F.inv
+    pivots = []
+    r = 0
+    for c in range(len(M[0])):
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        s = inv(M[r][c])
+        M[r] = [mul(s, x) for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [sub(x, mul(f, y)) for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(M):
+            break
+    return tuple(tuple(row) for row in M), r, tuple(pivots)
+
+
+def mat_mul_scalar(F, A, B):
+    """Matrix product by Field ops, one entry at a time: the reference for linear.mat_mul."""
+    out = []
+    for row in A:
+        acc = [0] * (len(B[0]) if B else 0)
+        for a, brow in zip(row, B):
+            for j, b in enumerate(brow):
+                acc[j] = F.add(acc[j], F.mul(a, b))
+        out.append(acc)
+    return out
+
+
 def digit_add(F, a, b):
     """a + b by adding base-p digits mod p: the reference for the Zech table."""
     p, total, weight = F.p, 0, 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from time import perf_counter
 
@@ -131,6 +132,22 @@ def test_verify_malformed_input_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(path3))
     assert rc == 2 and "cannot read code file" in err
 
+    # n, p, e and the modulus must be JSON integers, not values int() would
+    # truncate or coerce; [[1, 2]] over GF(5) is a valid code that is not LCD
+    for record, n in (
+        ({"p": 5, "e": 1}, 2.5),
+        ({"p": 5, "e": 1}, "2"),
+        ({"p": 5.0, "e": 1}, 2),
+        ({"p": 5, "e": True}, 2),
+        ({"p": 5, "e": 1, "modulus": [0.0, 1]}, 2),
+    ):
+        path4 = tmp_path / "numbers.json"
+        path4.write_text(json.dumps({"field": record, "n": n, "generator": [[1, 2]]}))
+        rc, _, err = run(capsys, "verify", str(path4))
+        assert rc == 2 and "must be an integer" in err and "Traceback" not in err
+    path4.write_text(json.dumps({"field": {"p": 5, "e": 1}, "n": 2, "generator": [[1, 2]]}))
+    assert run(capsys, "verify", str(path4))[0] == 1
+
 
 def test_verify_huge_field_exits_2_at_once(capsys, tmp_path):
     for record in ({"p": 2**61 - 1, "e": 1}, {"p": 3, "e": 10**9}):
@@ -167,6 +184,20 @@ def test_construct_over_budget_exits_5_with_a_short_message(capsys):
     assert perf_counter() - start < 1
     assert rc == 5 and out == ""
     assert "MDS check" in err and "budget" in err and len(err.rstrip("\n")) < 200
+
+
+def test_verify_over_budget_report_exits_5_at_once(capsys, tmp_path):
+    # the unverified report's generator and verify's full-rank check row-reduce
+    # a 100 x 244 matrix over GF(243) before the budget stops the MDS check
+    start = perf_counter()
+    rc, out, _ = run(capsys, "construct", "--q", "243", "--n", "244", "--k", "100",
+                     "--skip-verify")
+    assert rc == 0
+    path = tmp_path / "big.json"
+    path.write_text(out)
+    rc, out, err = run(capsys, "verify", str(path), "--budget", "20000")
+    assert perf_counter() - start < 1
+    assert rc == 5 and out == "" and "MDS check" in err
 
 
 def test_budget_env_var(capsys, tmp_path, monkeypatch):
@@ -221,8 +252,42 @@ def test_sweep_rejects_bad_fields(capsys):
 
 def test_sweep_unwritable_output_exits_2(capsys, tmp_path):
     path = tmp_path / "missing" / "x.json"
-    rc, _, err = run(capsys, "sweep", "--q", "5", "--output", str(path))
+    rc, out, err = run(capsys, "sweep", "--q", "5", "--output", str(path))
     assert rc == 2 and "lcdmds: cannot write" in err and "Traceback" not in err
+    # the path is opened before the first cell, so no table row is printed
+    assert out == ""
+
+
+# sha256 of canonical output bytes, recorded from a known-good build. These
+# bytes are a fixed constraint: a change to any of them must be deliberate,
+# with the hashes recorded again.
+PINNED_SWEEP_JSON = {
+    "5": "deff9c58d09963cf242a0333b7f13de41585f4d46436ae40efbe38ccac21a538",
+    "7": "c48e065d692e9ffa06f7cd79e90d0ef47705d55d258a6d741822a3a498cd649d",
+    "9": "aeac4523b4df4c55bf19110d2a15879556df27bc0c233aa2d297fb258d882eab",
+}
+PINNED_CONSTRUCT_STDOUT = {
+    ("--q", "9", "--n", "10", "--k", "4"): "7f632656d40f02ffb00221193d7e25c58723f2d3e03f42df95ec03e1faaf6d60",
+    ("--q", "9", "--n", "7", "--k", "3"): "30b401f766341413e91563f3deaaa48aa97a5a5e6598c28401bb637ee3e16e7d",
+    ("--q", "11", "--n", "6", "--k", "3"): "12259889612c66518251aba3402817f4891b20bcc3813dd233d222afba963d3e",
+    ("--q", "13", "--n", "12", "--k", "6"): "da2ec68555c0d82125d28088a6d69b71485674a210b313ea20f996a3df85e1c6",
+    ("--q", "13", "--n", "13", "--k", "4"): "f139093dc29ca7bb17578ed778974ef6fb2b67121d2a4f570ea3c6a1896740f2",
+    ("--q", "13", "--n", "14", "--k", "5"): "fc79f505b1f9a33cd04b19d31454efeffd8a256958b1ca31829c431165bb5792",
+    ("--q", "25", "--n", "12", "--k", "5"): "2e2576b11c2bdf6ef112ab78bfcdc44866c0f77f1206087234b9e3ac1c58d710",
+    ("--q", "27", "--n", "9", "--k", "3"): "221c6d51acb43006e27c1b886a49d9e56f16aa8a1aaf3eff2a2a6d6ec31a8185",
+    ("--q", "27", "--n", "14", "--k", "4"): "3ea7bba370a12dd4a8049ce64b053a2aa61ec0ed36e1058b2823a6f1f2eb67db",
+    ("--q", "13", "--n", "8", "--k", "4", "--format", "text"): "b2291839644399033e0b1eb8063893948a8f171ec37c4d61a833e38273c5be1b",
+}
+
+
+def test_outputs_match_pinned_hashes(capsys, tmp_path):
+    path = tmp_path / "sweep.json"
+    for q, digest in PINNED_SWEEP_JSON.items():
+        assert run(capsys, "sweep", "--q", q, "--output", str(path))[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, q
+    for argv, digest in PINNED_CONSTRUCT_STDOUT.items():
+        rc, out, _ = run(capsys, "construct", *argv)
+        assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_sweep_table_rendering(capsys):

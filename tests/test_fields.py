@@ -38,6 +38,21 @@ def test_gf27_modulus_matches_bruteforce_scan():
     assert field(3, 3).modulus == first == (1, 0, 2, 1)
 
 
+def test_find_modulus_matches_a_full_scan():
+    # the search skips zero constant terms for e >= 2; a full scan of every
+    # monic candidate, low-degree-first, must find the same first irreducible
+    for p in (2, 3, 5, 7, 11, 13):
+        for e in range(1, 13):
+            if p**e > 1 << 12:
+                break
+            first = next(
+                low + (1,)
+                for low in product(range(p), repeat=e)
+                if is_irreducible(list(low) + [1], p)
+            )
+            assert find_modulus(p, e) == first, (p, e)
+
+
 def test_from_dict_reuses_the_shared_field():
     F = field(3, 2)
     assert Field.from_dict(F.to_dict()) is Field.from_dict(F.to_dict()) is F

@@ -221,3 +221,6 @@ def test_spec_serialization_roundtrip():
     assert again == spec
     ext = GrsSpec(F5, tuple(range(5)), (1, 1, 2, 2, 2), 3, extended=True)
     assert GrsSpec.from_dict(ext.to_dict()) == ext
+    for k in (2.5, "2"):  # never truncated or coerced
+        with pytest.raises(ParameterError, match="must be an integer"):
+            GrsSpec.from_dict({**spec.to_dict(), "k": k})

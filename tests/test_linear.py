@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_min_distance,
+    mat_mul_scalar,
     min_distance_by_columns,
     random_full_rank_code,
+    rref_scalar,
     subsets_nonsingular_scalar,
 )
 from lcdmds import (
@@ -18,6 +20,7 @@ from lcdmds import (
     LinearCode,
     ParameterError,
     field,
+    mat_mul,
     rref,
 )
 from lcdmds.linear import SUBSET_BATCH_ENTRIES, mds_route
@@ -44,6 +47,42 @@ def test_rref_rejects_ragged_and_mixed():
         rref(F5, [[1, 2], [1]])
     with pytest.raises(ParameterError):
         rref(F5, [[1, 7]])
+
+
+ARRAY_FIELDS = [(2, 1), (7, 1), (3, 2), (3, 3), (3, 7), (127, 2), (65521, 1)]
+
+
+def test_rref_and_mat_mul_match_scalar_references():
+    rng = random.Random(2024)
+    for p, e in ARRAY_FIELDS:
+        F = field(p, e)
+        nz = [x for x in (1, 2, F.q - 1, rng.randrange(1, F.q)) if x < F.q]
+        matrices = [
+            [],
+            [[]],
+            [[0, 0, 0], [0, 0, 0]],  # zero rows only
+            [[0, 0, 0, 0], [nz[-1], 0, nz[0], 0], [0, 0, 0, 0]],  # zero rows between
+            [[nz[0], nz[-1], 0]],  # 1 x n
+            [[x] for x in nz] + [[0]],  # more rows than columns
+        ]
+        for _ in range(40):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 9)
+            density = rng.choice((0.2, 0.6, 1.0))
+            M = [
+                [rng.randrange(F.q) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            if rows > 1:  # rank-deficient: a multiple of one row, a sum of two
+                M[-1] = [F.mul(nz[-1], x) for x in M[0]]
+                M.append([F.add(x, y) for x, y in zip(M[0], M[1])])
+            matrices.append(M)
+        for M in matrices:
+            assert rref(F, M) == rref_scalar(F, M), (F, M)
+            width = rng.randint(1, 5)
+            inner = len(M[0]) if M else 0
+            B = [[rng.randrange(F.q) for _ in range(width)] for _ in range(inner)]
+            for other in (B, [list(c) for c in zip(*M)]):
+                assert mat_mul(F, M, other) == mat_mul_scalar(F, M, other), (F, M, other)
 
 
 def test_generator_must_have_full_rank():
@@ -107,6 +146,26 @@ def test_hull_examples():
 def test_lcd_construction_instance():
     spec = GrsSpec(F5, (1, 2, 4, 3), (1, 1, 1, 2), 2)
     assert spec.generator().is_lcd()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(st.sampled_from([(3, 3), (3, 7), (127, 2), (65521, 1)]), st.integers(2, 8), st.data())
+def test_monomial_maps_preserve_hull_and_mds(pe, n, data):
+    # Permuting coordinates and scaling them by +-1 leaves G Gt unchanged, so
+    # the hull (Massey 1992: LCD iff G Gt is nonsingular) and MDS must hold.
+    # Half the codes draw from {0, 1, -1}, where hulls and non-MDS are common.
+    F = field(*pe)
+    k = data.draw(st.integers(1, n - 1))
+    alphabet = data.draw(st.sampled_from([range(F.q), (0, 1, F.neg(1))]))
+    row = st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)
+    gen = data.draw(st.lists(row, min_size=k, max_size=k))
+    assume(rref(F, gen)[1] == k)
+    code = LinearCode(F, gen)
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from([1, F.neg(1)]), min_size=n, max_size=n))
+    image = LinearCode(F, [[F.mul(s, g[j]) for s, j in zip(signs, perm)] for g in gen])
+    assert image.hull_dimension() == code.hull_dimension()
+    assert image.mds_check()[0] == code.mds_check()[0]
 
 
 def test_hull_equals_intersection_oracle():
