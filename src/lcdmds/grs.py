@@ -172,10 +172,13 @@ class GrsSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "GrsSpec":
         F = Field.from_dict(d["field"])
+        extended = d.get("extended", False)
+        if extended.__class__ is not bool:
+            raise ParameterError(f"extended must be true or false, got {extended!r}")
         return cls(
             F,
             tuple(d["locators"]),
             tuple(d["multipliers"]),
             json_int(d["k"], "k"),
-            bool(d.get("extended", False)),
+            extended,
         )

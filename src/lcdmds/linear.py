@@ -4,16 +4,18 @@ This module holds the verification oracles everything else is checked
 against: reduced row echelon form and rank, dual codes via null spaces,
 intersection and hull dimensions, and two independent MDS tests (exhaustive
 enumeration of one codeword per projective point, and nonsingularity of
-every k-column submatrix).
+every k-column submatrix, by an elimination shared along a prefix tree of
+column subsets).
 Matrices are sequences of rows of canonical element indices. Their elements
-are checked once, in _matrix; then RREF (one Gauss-Jordan step per pivot)
-and the product G Gt behind the hull run on the field's shared FieldArrays.
+are checked once, in _matrix, where a matrix enters the public functions or
+a LinearCode; then RREF (one Gauss-Jordan step per pivot), the product G Gt
+behind the hull and the subset kernel run on the checked arrays with the
+field's shared FieldArrays.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, combinations, islice
 from math import comb, log10
 
 import numpy as np
@@ -28,9 +30,10 @@ DEFAULT_BUDGET = 10**6
 ROUTE_ENUMERATION = "enumeration"
 ROUTE_COLUMN_SUBSETS = "column_subsets"
 
-# The column-subset kernel eliminates max(1, SUBSET_BATCH_ENTRIES // k^2)
-# k x k submatrices at a time, which bounds its working set whatever C(n, k).
-SUBSET_BATCH_ENTRIES = 1 << 14
+# Entries per depth of the column-subset kernel: it extends at most
+# max(1, SUBSET_BATCH_ENTRIES // (r n)) prefixes of r reduced rows at a time,
+# which bounds its working set whatever C(n, k).
+SUBSET_BATCH_ENTRIES = 1 << 13
 
 
 def _amount(value: int, text: str) -> str:
@@ -80,8 +83,12 @@ def rref(field: Field, rows):
     M = _matrix(field, rows)
     if not M:
         return (), 0, ()
+    return _rref(field, np.array(M, dtype=np.int64))
+
+
+def _rref(field: Field, A):
+    """rref of a checked (rows, columns) int64 array, which it overwrites."""
     arrays = field.arrays
-    A = np.array(M, dtype=np.int64)
     pivots = []
     for c in range(A.shape[1]):
         r = len(pivots)
@@ -107,34 +114,34 @@ def mat_mul(field: Field, A, B):
         raise ParameterError("inner dimensions do not match")
     if not (A and B):
         return [[] for _ in A]
-    a, b, p = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), field.p
+    return _product(field, np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)).tolist()
+
+
+def _product(field: Field, a, b):
+    """a @ b over the field, for checked int64 arrays."""
+    p = field.p
     if field.e == 1:
-        return (a @ b % p).tolist()
+        return a @ b % p
     arrays = field.arrays
     sums = arrays.digits[arrays.mul(a[:, :, None], b)].sum(axis=1, dtype=np.int64) % p
-    return (sums @ p ** np.arange(field.e)).tolist()
+    return sums @ p ** np.arange(field.e)
 
 
-def _all_nonsingular(arrays, stack) -> bool:
-    """Whether every matrix in a (B, k, k) stack is nonsingular.
-
-    Gaussian elimination on all B matrices at once, overwriting the stack:
-    the pivot of column c is the first nonzero entry at or below row c. Row c
-    is not read after step c, so the pivot row is copied out and row c moved
-    into its place rather than swapped.
+def _distinct_points(field: Field, rows, later) -> bool:
+    """Whether, in each (2, n) matrix of a (B, 2, n) stack, the columns that
+    later marks are nonzero and pairwise independent: distinct points of the
+    projective line, so that every 2 x 2 submatrix they form is nonsingular.
     """
-    rows = np.arange(stack.shape[0])
-    for c in range(stack.shape[1]):
-        nonzero = stack[:, c:, c] != 0
-        if not nonzero.any(axis=1).all():
-            return False
-        pr = c + nonzero.argmax(axis=1)
-        pivot_row = stack[rows, pr]
-        stack[rows, pr] = stack[:, c]
-        f = arrays.mul(stack[:, c + 1 :, c], arrays.inv(pivot_row[:, c])[:, None])
-        below = stack[:, c + 1 :, c + 1 :]
-        below[...] = arrays.sub(below, arrays.mul(f[:, :, None], pivot_row[:, None, c + 1 :]))
-    return True
+    arrays, q = field.arrays, field.q
+    top, bottom = rows[:, 0], rows[:, 1]
+    if (later & (top == 0) & (bottom == 0)).any():
+        return False
+    # a point is its slope bottom/top, or q at infinity; unmarked columns get
+    # labels above q that match nothing
+    slope = np.where(top != 0, arrays.mul(bottom, arrays.inv(top)), q)
+    slope = np.where(later, slope, q + 1 + np.arange(rows.shape[2]))
+    slope.sort(axis=1)
+    return not (slope[:, 1:] == slope[:, :-1]).any()
 
 
 class LinearCode:
@@ -154,7 +161,7 @@ class LinearCode:
             raise ParameterError("code length must be positive")
         if len(M) > length:
             raise ParameterError("more generator rows than the length allows")
-        _, rank, _ = rref(field, M)
+        _, rank, _ = _rref(field, np.array(M, dtype=np.int64).reshape(len(M), length))
         if rank != len(M):
             raise ParameterError("generator rows are linearly dependent")
         self.field = field
@@ -165,6 +172,10 @@ class LinearCode:
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over {self.field!r})"
 
+    def _array(self):
+        """The generator as a fresh (k, n) int64 array."""
+        return np.array(self.gen, dtype=np.int64).reshape(self.k, self.n)
+
     def _same_space(self, other: "LinearCode"):
         if self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
@@ -173,14 +184,14 @@ class LinearCode:
 
     def same_row_space(self, other: "LinearCode") -> bool:
         self._same_space(other)
-        a, ra, _ = rref(self.field, self.gen)
-        b, rb, _ = rref(other.field, other.gen)
+        a, ra, _ = _rref(self.field, self._array())
+        b, rb, _ = _rref(other.field, other._array())
         return a[:ra] == b[:rb]
 
     def dual(self) -> "LinearCode":
         """The dual code under the standard inner product, in RREF."""
         F = self.field
-        R, _, pivots = rref(F, self.gen)
+        R, _, pivots = _rref(F, self._array())
         rows = []
         for f in (j for j in range(self.n) if j not in pivots):
             w = [0] * self.n
@@ -190,18 +201,18 @@ class LinearCode:
             rows.append(w)
         if not rows:
             return LinearCode(F, [], n=self.n)
-        return LinearCode(F, rref(F, rows)[0])  # rows are independent
+        return LinearCode(F, _rref(F, np.array(rows, dtype=np.int64))[0])  # rows are independent
 
     def intersection_dim(self, other: "LinearCode") -> int:
         """dim(C1 and C2) = k1 + k2 - rank of the stacked generators."""
         self._same_space(other)
-        _, rank, _ = rref(self.field, list(self.gen) + list(other.gen))
+        _, rank, _ = _rref(self.field, np.vstack((self._array(), other._array())))
         return self.k + other.k - rank
 
     def hull_dimension(self) -> int:
         """dim(C and C-dual) = k - rank(G Gt)."""
-        gt = [[row[j] for row in self.gen] for j in range(self.n)]
-        _, rank, _ = rref(self.field, mat_mul(self.field, self.gen, gt))
+        G = self._array()
+        _, rank, _ = _rref(self.field, _product(self.field, G, G.T))
         return self.k - rank
 
     def is_lcd(self) -> bool:
@@ -260,25 +271,59 @@ class LinearCode:
     def mds_by_column_subsets(self) -> bool:
         """MDS iff every k-subset of generator columns is nonsingular.
 
-        The subsets are eliminated in batches by one exact numpy kernel; the
-        scan stops at the first batch that holds a singular subset. It runs
-        whatever C(n, k); mds_check decides when it fits the budget.
+        The subsets c_1 < ... < c_k are the leaves of a prefix tree, walked
+        depth first, and each prefix c_1 < ... < c_d does its elimination once
+        for all its extensions. It carries N G, where N is k - d rows spanning
+        the vectors orthogonal to its columns (I_k at the root). Extended by a
+        column c > c_d, the prefix stays independent iff column c of N G is
+        nonzero; the pivot on that column's first nonzero entry is cleared
+        from the other rows and the pivot row dropped. At depth k - 2 two rows
+        are left, and every completion c_{k-1} < c_k is nonsingular iff the
+        columns after c_{k-2} are distinct points of the projective line.
+        Prefixes are extended in chunks of at most SUBSET_BATCH_ENTRIES
+        entries per depth, and the walk stops at the first singular subset.
+        It runs whatever C(n, k); mds_check decides when it fits the budget.
         """
         if self.k == 0:
             raise ParameterError("zero-dimensional code has no MDS predicate")
-        k = self.k
-        columns = np.array(self.gen, dtype=np.int64).T
-        arrays = self.field.arrays
-        batch = max(1, SUBSET_BATCH_ENTRIES // k**2)
-        subsets = chain.from_iterable(combinations(range(self.n), k))
-        while True:
-            cols = np.fromiter(islice(subsets, batch * k), dtype=np.int64)
-            if not cols.size:
-                return True
-            # stack[b] is the transpose of subset b's submatrix: as singular
-            stack = columns[cols.reshape(-1, k)]
-            if not _all_nonsingular(arrays, stack):
+        F, n = self.field, self.n
+        gen = self._array()
+        if self.k == 1:
+            return bool(gen.all())
+        columns = np.arange(n)
+        stack = []  # (rows of a chunk of prefixes, its pending (prefix, column) pairs)
+
+        def visit(rows, last) -> bool:
+            """Test a (B, 2, n) chunk at once, or queue a deeper one's extensions."""
+            later = columns > last[:, None]
+            if rows.shape[1] == 2:
+                return _distinct_points(F, rows, later)
+            # an extension by c leaves room for the r - 1 columns after c
+            stack.append((rows, *np.nonzero(later & (columns <= n - rows.shape[1]))))
+            return True
+
+        if not visit(gen[None], np.array([-1])):
+            return False
+        arrays = F.arrays
+        while stack:
+            rows, prefix, col = stack.pop()
+            step = max(1, SUBSET_BATCH_ENTRIES // rows[0].size)
+            if len(col) > step:
+                stack.append((rows, prefix[step:], col[step:]))
+            rows, col = rows[prefix[:step]], col[:step]
+            m = np.arange(len(col))
+            w = rows[m, :, col]
+            if not w.any(axis=1).all():
                 return False
+            pivot = (w != 0).argmax(axis=1)
+            pivot_row = rows[m, pivot]
+            f = arrays.mul(w, arrays.inv(w[m, pivot])[:, None])
+            rows = arrays.sub(rows, arrays.mul(f[:, :, None], pivot_row[:, None, :]))
+            # the pivot row is now zero: the last row moves into its place
+            rows[m, pivot] = rows[:, -1]
+            if not visit(rows[:, :-1], col):
+                return False
+        return True
 
     def mds_check(self, budget: int = DEFAULT_BUDGET):
         """(is_mds, route, min_distance) using the first route within budget.

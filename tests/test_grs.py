@@ -224,3 +224,17 @@ def test_spec_serialization_roundtrip():
     for k in (2.5, "2"):  # never truncated or coerced
         with pytest.raises(ParameterError, match="must be an integer"):
             GrsSpec.from_dict({**spec.to_dict(), "k": k})
+
+
+def test_spec_extended_must_be_a_json_bool():
+    plain = GrsSpec(F5, (1, 2, 4, 3), (1, 1, 1, 2), 2)
+    ext = GrsSpec(F5, tuple(range(5)), (1, 1, 2, 2, 2), 3, extended=True)
+    record = plain.to_dict()
+    del record["extended"]
+    assert GrsSpec.from_dict(record) == plain  # an absent key means a plain spec
+    full = {**ext.to_dict(), "extended": False}
+    assert not GrsSpec.from_dict(full).extended
+    # never coerced: "no" would be true under bool() and 0 false
+    for spec, value in ((ext, "no"), (ext, 1), (plain, 0), (plain, None), (plain, "false")):
+        with pytest.raises(ParameterError, match="extended must be true or false"):
+            GrsSpec.from_dict({**spec.to_dict(), "extended": value})

@@ -1,5 +1,8 @@
 import random
 import re
+from functools import reduce
+from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +18,7 @@ from conftest import (
 )
 from lcdmds import (
     BudgetExceeded,
+    Field,
     FieldMismatch,
     GrsSpec,
     LinearCode,
@@ -23,6 +27,7 @@ from lcdmds import (
     mat_mul,
     rref,
 )
+from lcdmds import linear
 from lcdmds.linear import SUBSET_BATCH_ENTRIES, mds_route
 
 F5 = field(5)
@@ -166,6 +171,27 @@ def test_monomial_maps_preserve_hull_and_mds(pe, n, data):
     image = LinearCode(F, [[F.mul(s, g[j]) for s, j in zip(signs, perm)] for g in gen])
     assert image.hull_dimension() == code.hull_dimension()
     assert image.mds_check()[0] == code.mds_check()[0]
+
+
+def test_elements_are_checked_once_at_the_boundary(monkeypatch):
+    F = field(3, 5)
+    gen = GrsSpec(F, tuple(range(20)), (1,) * 20, 5).generator().gen
+    calls = []
+    check = Field.check
+    monkeypatch.setattr(Field, "check", lambda self, a: calls.append(a) or check(self, a))
+    code = LinearCode(F, gen)
+    assert len(calls) == 5 * 20
+    calls.clear()
+    code.hull_dimension()
+    code.intersection_dim(code)
+    code.same_row_space(code)
+    code.mds_by_column_subsets()
+    assert calls == []
+    # the public functions still check every element they are given
+    rref(F, gen)
+    assert len(calls) == 5 * 20
+    mat_mul(F, gen, [list(col) for col in zip(*gen)])
+    assert len(calls) == 3 * 5 * 20
 
 
 def test_hull_equals_intersection_oracle():
@@ -348,6 +374,96 @@ def test_mds_routes_agree():
             assert verdict == (code.minimum_distance() == code.n - code.k + 1)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+SUBSET_FIELDS = [field(2), field(7), field(3, 2), field(3, 3), field(3, 7), field(127, 2)]
+
+
+def _insert_column(gen, pos, column):
+    return [row[:pos] + (x,) + row[pos:] for row, x in zip(gen, column)]
+
+
+@st.composite
+def subset_codes(draw):
+    """Codes for the column-subset kernel, a column inserted into most of them.
+
+    GRS codes are MDS until a column goes in; the others are [I | A] with
+    their columns permuted, A drawn from the field or from {0, 1, -1}. The
+    inserted column repeats a column at the first, a middle or the last
+    position, is zero, or makes a prefix rank-deficient (a combination of
+    the columns before it, at a position below k).
+    """
+    F = draw(st.sampled_from(SUBSET_FIELDS))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    if n <= F.q and draw(st.booleans()):
+        locs = draw(st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n, unique=True))
+        mults = draw(st.lists(st.integers(1, F.q - 1), min_size=n, max_size=n))
+        gen = GrsSpec(F, tuple(locs), tuple(mults), k).generator().gen
+    else:
+        alphabet = draw(st.sampled_from([range(F.q), (0, 1, F.neg(1))]))
+        tail = st.lists(st.sampled_from(alphabet), min_size=n - k, max_size=n - k)
+        rows = [tuple(int(i == j) for j in range(k)) + tuple(draw(tail)) for i in range(k)]
+        perm = draw(st.permutations(range(n)))
+        gen = [tuple(row[j] for j in perm) for row in rows]
+    kind = draw(st.sampled_from(["none", "repeat", "zero", "dependent prefix"]))
+    if kind == "repeat":
+        pos = draw(st.sampled_from([0, n // 2, n]))
+        j = draw(st.integers(0, n - 1))
+        gen = _insert_column(gen, pos, [row[j] for row in gen])
+    elif kind == "zero":
+        gen = _insert_column(gen, draw(st.integers(0, n)), [0] * k)
+    elif kind == "dependent prefix":
+        pos = draw(st.integers(1, max(1, min(k - 1, n))))
+        coeffs = draw(st.lists(st.integers(0, F.q - 1), min_size=pos, max_size=pos))
+        column = [reduce(F.add, (F.mul(c, row[j]) for j, c in enumerate(coeffs))) for row in gen]
+        gen = _insert_column(gen, pos, column)
+    return LinearCode(F, gen)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(subset_codes())
+def test_subset_kernel_matches_scalar_reference(code):
+    # whole chunks, and one prefix per chunk at every depth
+    expected = subsets_nonsingular_scalar(code)
+    for entries in (SUBSET_BATCH_ENTRIES, 1):
+        with mock.patch.object(linear, "SUBSET_BATCH_ENTRIES", entries):
+            assert code.mds_by_column_subsets() == expected
+
+
+def _last_subset_singular(F, n, k, coeffs):
+    """A GRS [n, k] code whose last column becomes a combination of the k - 1
+    columns before it: its one singular k-subset is the last."""
+    gen = GrsSpec(F, tuple(range(n)), (1,) * n, k).generator().gen
+    last = [reduce(F.add, (F.mul(c, x) for c, x in zip(coeffs, row[n - k : n - 1]))) for row in gen]
+    code = LinearCode(F, [row[:-1] + (x,) for row, x in zip(gen, last)])
+    singular = [s for s in combinations(range(n), k)
+                if rref(F, [[row[j] for j in s] for row in code.gen])[1] < k]
+    assert singular == [tuple(range(n - k, n))]
+    return code
+
+
+def test_subset_kernel_last_subset_and_chunk_splits():
+    codes = [
+        _last_subset_singular(field(3, 3), 12, 3, (1, 2)),
+        _last_subset_singular(field(127, 2), 10, 4, (1, 1, 1)),
+        GrsSpec(field(3, 3), tuple(range(12)), (1,) * 12, 3).generator(),
+        GrsSpec(field(127, 2), tuple(range(10)), (1,) * 10, 4).generator(),
+    ]
+    # a zero or a repeated column last: only the last two columns' test sees it
+    for k in (2, 3, 5):
+        gen = GrsSpec(field(3, 3), tuple(range(9)), (1,) * 9, k).generator().gen
+        codes += [LinearCode(field(3, 3), _insert_column(gen, 9, column))
+                  for column in ([0] * k, [row[0] for row in gen], [row[8] for row in gen])]
+    verdicts = []
+    for code in codes:
+        expected = subsets_nonsingular_scalar(code)
+        # 100 entries split the prefixes at depths 0 and 1 into several chunks
+        for entries in (SUBSET_BATCH_ENTRIES, 100, 1):
+            with mock.patch.object(linear, "SUBSET_BATCH_ENTRIES", entries):
+                assert code.mds_by_column_subsets() == expected, (code, entries)
+        verdicts.append(expected)
+    assert verdicts[:4] == [False, False, True, True] and not any(verdicts[4:])
 
 
 def test_mds_check_routes_and_budget():
