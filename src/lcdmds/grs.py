@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .errors import FieldMismatch, ParameterError
 from .fields import Field, json_int
 from .linear import LinearCode
@@ -95,16 +97,17 @@ class GrsSpec:
     @cached_property
     def _generator(self) -> LinearCode:
         F = self.field
-        mul = F.mul
-        rows = []
-        powers = [1] * self.n
+        arrays = F.arrays
+        multipliers = np.array(self.multipliers, dtype=np.int64)
+        locators = np.array(self.locators, dtype=np.int64)
+        rows = np.zeros((self.k, self.length), dtype=np.int64)
+        powers = np.ones(self.n, dtype=np.int64)  # a^r, with 0^0 = 1
         for r in range(self.k):
-            row = [mul(v, w) for v, w in zip(self.multipliers, powers)]
-            if self.extended:
-                row.append(1 if r == self.k - 1 else 0)
-            rows.append(row)
-            powers = [mul(w, a) for w, a in zip(powers, self.locators)]
-        return LinearCode(F, rows)
+            rows[r, : self.n] = arrays.mul(multipliers, powers)
+            powers = arrays.mul(powers, locators)
+        if self.extended:
+            rows[-1, -1] = 1
+        return LinearCode(F, rows.tolist())
 
     def codeword(self, f: Poly) -> tuple[int, ...]:
         """(v_1 f(a_1), ..., v_n f(a_n)), plus f_(k-1) when extended."""

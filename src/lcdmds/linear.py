@@ -31,8 +31,9 @@ ROUTE_ENUMERATION = "enumeration"
 ROUTE_COLUMN_SUBSETS = "column_subsets"
 
 # Entries per depth of the column-subset kernel: it extends at most
-# max(1, SUBSET_BATCH_ENTRIES // (r n)) prefixes of r reduced rows at a time,
-# which bounds its working set whatever C(n, k).
+# max(1, SUBSET_BATCH_ENTRIES // (r w)) prefixes at a time, where the chunk
+# carries r reduced rows over w live columns (w <= n), which bounds its
+# working set whatever C(n, k).
 SUBSET_BATCH_ENTRIES = 1 << 13
 
 
@@ -92,6 +93,8 @@ def _rref(field: Field, A):
     pivots = []
     for c in range(A.shape[1]):
         r = len(pivots)
+        if r == A.shape[0]:
+            break
         below = np.flatnonzero(A[r:, c])
         if not below.size:
             continue
@@ -282,6 +285,10 @@ class LinearCode:
         columns after c_{k-2} are distinct points of the projective line.
         Prefixes are extended in chunks of at most SUBSET_BATCH_ENTRIES
         entries per depth, and the walk stops at the first singular subset.
+        A chunk carries only its live columns, those after the smallest
+        column it extends by: no column at or before a prefix's last is read
+        again. Its pending (prefix, column) pairs go column by column, so the
+        pairs of one chunk share few columns and drop many.
         It runs whatever C(n, k); mds_check decides when it fits the budget.
         """
         if self.k == 0:
@@ -290,38 +297,45 @@ class LinearCode:
         gen = self._array()
         if self.k == 1:
             return bool(gen.all())
-        columns = np.arange(n)
-        stack = []  # (rows of a chunk of prefixes, its pending (prefix, column) pairs)
+        # (rows of a chunk of prefixes, the first column lo they carry, and
+        # their pending (prefix, column) pairs)
+        stack = []
 
-        def visit(rows, last) -> bool:
-            """Test a (B, 2, n) chunk at once, or queue a deeper one's extensions."""
+        def visit(rows, lo, last) -> bool:
+            """Test a (B, 2, n - lo) chunk at once, or queue a deeper one's extensions."""
+            columns = lo + np.arange(rows.shape[2])
             later = columns > last[:, None]
             if rows.shape[1] == 2:
                 return _distinct_points(F, rows, later)
-            # an extension by c leaves room for the r - 1 columns after c
-            stack.append((rows, *np.nonzero(later & (columns <= n - rows.shape[1]))))
+            # an extension by c leaves room for the r - 1 columns after c;
+            # pairs go column by column, so a chunk of them spans few columns
+            col, prefix = np.nonzero((later & (columns <= n - rows.shape[1])).T)
+            stack.append((rows, lo, prefix, lo + col))
             return True
 
-        if not visit(gen[None], np.array([-1])):
+        if not visit(gen[None], 0, np.array([-1])):
             return False
         arrays = F.arrays
         while stack:
-            rows, prefix, col = stack.pop()
+            rows, lo, prefix, col = stack.pop()
             step = max(1, SUBSET_BATCH_ENTRIES // rows[0].size)
             if len(col) > step:
-                stack.append((rows, prefix[step:], col[step:]))
-            rows, col = rows[prefix[:step]], col[:step]
+                stack.append((rows, lo, prefix[step:], col[step:]))
+            prefix, col = prefix[:step], col[:step]
             m = np.arange(len(col))
-            w = rows[m, :, col]
+            w = rows[prefix, :, col - lo]
             if not w.any(axis=1).all():
                 return False
+            # keep the live columns only: those after the chunk's smallest
+            start = col.min() + 1
+            rows = rows[prefix, :, start - lo :]
             pivot = (w != 0).argmax(axis=1)
             pivot_row = rows[m, pivot]
             f = arrays.mul(w, arrays.inv(w[m, pivot])[:, None])
             rows = arrays.sub(rows, arrays.mul(f[:, :, None], pivot_row[:, None, :]))
             # the pivot row is now zero: the last row moves into its place
             rows[m, pivot] = rows[:, -1]
-            if not visit(rows[:, :-1], col):
+            if not visit(rows[:, :-1], start, col):
                 return False
         return True
 

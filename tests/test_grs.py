@@ -46,6 +46,37 @@ def test_generator_examples():
     assert small.generator().gen == ((2, 3),)
 
 
+def _generator_rows_scalar(spec):
+    """The generator rows v_i a_i^r by scalar Field.mul, powers from 0^0 = 1."""
+    F = spec.field
+    rows = []
+    powers = [1] * spec.n
+    for r in range(spec.k):
+        row = [F.mul(v, w) for v, w in zip(spec.multipliers, powers)]
+        if spec.extended:
+            row.append(int(r == spec.k - 1))
+        rows.append(tuple(row))
+        powers = [F.mul(w, a) for w, a in zip(powers, spec.locators)]
+    return tuple(rows)
+
+
+def test_generator_rows_match_scalar_build():
+    rng = random.Random(77)
+    for F in (field(7), field(3, 3), field(3, 7), field(127, 2)):
+        for k in (1, 2, 4):
+            # locator 0 among plain locators, and every element when extended
+            locs = [0] + rng.sample(range(1, F.q), 9 if F.q > 10 else F.q - 2)
+            rng.shuffle(locs)
+            every = tuple(range(F.q))
+            specs = [
+                GrsSpec(F, tuple(locs), tuple(rng.randrange(1, F.q) for _ in locs), k),
+                GrsSpec(F, every, tuple(rng.randrange(1, F.q) for _ in every), k, extended=True),
+            ]
+            for spec in specs:
+                expected = _generator_rows_scalar(spec)
+                assert spec.generator().gen == expected, (F, spec.k, spec.extended)
+
+
 def test_generator_is_built_once():
     spec = GrsSpec(F5, (0, 1, 2, 3), (1, 2, 3, 4), 2)
     assert spec.generator() is spec.generator()

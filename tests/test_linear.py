@@ -69,6 +69,10 @@ def test_rref_and_mat_mul_match_scalar_references():
             [[0, 0, 0, 0], [nz[-1], 0, nz[0], 0], [0, 0, 0, 0]],  # zero rows between
             [[nz[0], nz[-1], 0]],  # 1 x n
             [[x] for x in nz] + [[0]],  # more rows than columns
+            # wide and of full rank: every pivot is found well before the last column
+            [[nz[0]] + [rng.randrange(F.q) for _ in range(49)]],
+            [[int(i + j == 2) for j in range(3)] + [rng.randrange(F.q) for _ in range(37)]
+             for i in range(3)],
         ]
         for _ in range(40):
             rows, cols = rng.randint(1, 7), rng.randint(1, 9)
@@ -431,24 +435,34 @@ def test_subset_kernel_matches_scalar_reference(code):
             assert code.mds_by_column_subsets() == expected
 
 
-def _last_subset_singular(F, n, k, coeffs):
-    """A GRS [n, k] code whose last column becomes a combination of the k - 1
-    columns before it: its one singular k-subset is the last."""
+def _one_singular_subset(F, n, k, last, coeffs):
+    """A GRS [n, k] code whose column `last` becomes a combination of the k - 1
+    columns before it: its one singular k-subset is those k columns."""
     gen = GrsSpec(F, tuple(range(n)), (1,) * n, k).generator().gen
-    last = [reduce(F.add, (F.mul(c, x) for c, x in zip(coeffs, row[n - k : n - 1]))) for row in gen]
-    code = LinearCode(F, [row[:-1] + (x,) for row, x in zip(gen, last)])
+    window = range(last - k + 1, last)
+    column = [reduce(F.add, (F.mul(c, row[j]) for c, j in zip(coeffs, window))) for row in gen]
+    code = LinearCode(F, [row[:last] + (x,) + row[last + 1 :] for row, x in zip(gen, column)])
     singular = [s for s in combinations(range(n), k)
                 if rref(F, [[row[j] for j in s] for row in code.gen])[1] < k]
-    assert singular == [tuple(range(n - k, n))]
+    assert singular == [tuple(range(last - k + 1, last + 1))]
     return code
 
 
 def test_subset_kernel_last_subset_and_chunk_splits():
     codes = [
-        _last_subset_singular(field(3, 3), 12, 3, (1, 2)),
-        _last_subset_singular(field(127, 2), 10, 4, (1, 1, 1)),
+        _one_singular_subset(field(3, 3), 12, 3, 11, (1, 2)),
+        _one_singular_subset(field(127, 2), 10, 4, 9, (1, 1, 1)),
+        # n = 14: the first column a chunk carries moves several places. The
+        # one singular subset (1, 2, 3, 4) holds the first column carried at
+        # depths 1 and 2: columns 1 and 2 in whole chunks, 2 and 3 at one
+        # pair a chunk.
+        _one_singular_subset(field(3, 7), 14, 4, 4, (1, 2, 3)),
+        _one_singular_subset(field(3, 7), 14, 4, 8, (2, 4, 3)),
+        _one_singular_subset(field(127, 2), 14, 5, 12, (177, 190, 167, 136)),
         GrsSpec(field(3, 3), tuple(range(12)), (1,) * 12, 3).generator(),
         GrsSpec(field(127, 2), tuple(range(10)), (1,) * 10, 4).generator(),
+        GrsSpec(field(3, 3), tuple(range(14)), (1,) * 14, 4).generator(),
+        GrsSpec(field(127, 2), tuple(range(14)), (1,) * 14, 5).generator(),
     ]
     # a zero or a repeated column last: only the last two columns' test sees it
     for k in (2, 3, 5):
@@ -458,12 +472,42 @@ def test_subset_kernel_last_subset_and_chunk_splits():
     verdicts = []
     for code in codes:
         expected = subsets_nonsingular_scalar(code)
-        # 100 entries split the prefixes at depths 0 and 1 into several chunks
-        for entries in (SUBSET_BATCH_ENTRIES, 100, 1):
+        # 100 entries split the prefixes at depths 0 and 1 into several chunks,
+        # and 37 split one column's extensions across chunks
+        for entries in (SUBSET_BATCH_ENTRIES, 100, 37, 1):
             with mock.patch.object(linear, "SUBSET_BATCH_ENTRIES", entries):
                 assert code.mds_by_column_subsets() == expected, (code, entries)
         verdicts.append(expected)
-    assert verdicts[:4] == [False, False, True, True] and not any(verdicts[4:])
+    assert verdicts[:9] == [False] * 5 + [True] * 4 and not any(verdicts[9:])
+
+
+def test_subset_kernel_carries_only_live_columns(monkeypatch):
+    """Each pivot step updates only the columns after its chunk's first one.
+
+    The least work has every (prefix, column) pair carry just the columns
+    after its own column. One pair a chunk does exactly that. Whole chunks
+    list their pairs column by column, so they share few columns and carry
+    well under 1.5 times the least (a prefix's pairs taken together, or all n
+    columns, carry over twice as much on this code).
+    """
+    F, n, k = field(3, 3), 20, 6
+    code = GrsSpec(F, tuple(range(n)), (1,) * n, k).generator()
+    least = sum(
+        (k - d) * (n - c - 1)
+        for d in range(k - 2)
+        for prefix in combinations(range(n), d)
+        for c in range(prefix[-1] + 1 if prefix else 0, n - k + d + 1)
+    )
+    updated = []
+    sub = type(F.arrays).sub
+    monkeypatch.setattr(
+        type(F.arrays), "sub", lambda self, a, b: updated.append(a.size) or sub(self, a, b)
+    )
+    for entries, most in ((1, least), (SUBSET_BATCH_ENTRIES, 1.5 * least)):
+        updated.clear()
+        with mock.patch.object(linear, "SUBSET_BATCH_ENTRIES", entries):
+            assert code.mds_by_column_subsets()
+        assert least <= sum(updated) <= most, (entries, sum(updated), least)
 
 
 def test_mds_check_routes_and_budget():
