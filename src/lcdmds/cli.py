@@ -36,7 +36,7 @@ from .errors import (
     ParameterError,
     TheoremViolation,
 )
-from .fields import Field, field, field_from_order
+from .fields import Field, checked_order, field, prime_power
 from .linear import DEFAULT_BUDGET, LinearCode
 
 BUDGET_ENV = "LCDMDS_BUDGET"
@@ -60,14 +60,17 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _resolve_field(args) -> Field:
+def _field_order(args) -> tuple[int, int]:
+    """(p, e) of --q or --p/--e, checked as Field checks them; builds no tables."""
     if args.q is not None:
         if args.p is not None or args.e is not None:
             raise ParameterError("give either --q or --p/--e, not both")
-        return field_from_order(args.q)
+        return prime_power(args.q)
     if args.p is None:
         raise ParameterError("a field is required: --q Q or --p P [--e E]")
-    return field(args.p, args.e if args.e is not None else 1)
+    e = args.e if args.e is not None else 1
+    checked_order(args.p, e)
+    return args.p, e
 
 
 def _default_budget() -> int:
@@ -96,7 +99,9 @@ THEOREM_BY_FLAG = {family.flag: family.tag for family in FAMILIES}
 
 
 def cmd_construct(args) -> int:
-    F = _resolve_field(args)
+    p, e = _field_order(args)
+    require_construction_field(p, p**e)  # before the tables are built
+    F = field(p, e)
     tail = args.tail
     if tail is not None and len(tail) == 1:
         tail = tail[0]
@@ -192,8 +197,9 @@ def _sweep_cell(F: Field, n: int, k: int, budget: int):
 
 
 def cmd_sweep(args) -> int:
-    F = _resolve_field(args)
-    require_construction_field(F)
+    p, e = _field_order(args)
+    require_construction_field(p, p**e)
+    F = field(p, e)
     n_max = args.n_max if args.n_max is not None else F.q + 1
     if n_max > F.q + 1:
         raise ParameterError(f"--n-max cannot exceed q + 1 = {F.q + 1}")
@@ -249,7 +255,7 @@ def _sweep(F: Field, n_max: int, budget: int, out) -> int:
 
 
 def cmd_info(args) -> int:
-    F = _resolve_field(args)
+    F = field(*_field_order(args))
     info = {
         "p": F.p,
         "e": F.e,

@@ -51,13 +51,11 @@ class ConstructionReport:
         }
 
 
-def require_construction_field(F: Field) -> None:
-    if F.p == 2:
-        raise ParameterError(
-            f"q = {F.q} has even characteristic; constructions need odd q"
-        )
-    if F.q <= 3:
-        raise ParameterError(f"q = {F.q} is too small; constructions need q > 3")
+def require_construction_field(p: int, q: int) -> None:
+    if p == 2:
+        raise ParameterError(f"q = {q} has even characteristic; constructions need odd q")
+    if q <= 3:
+        raise ParameterError(f"q = {q} is too small; constructions need q > 3")
 
 
 def _require_dims(n: int, k: int) -> None:
@@ -95,7 +93,7 @@ def construct_extended(F: Field, k: int, gamma=None, permutation=None) -> Constr
     gamma on the rest; the split point depends on whether k = (q + 1)/2
     (case 2) or k < (q + 1)/2 (case 1).
     """
-    require_construction_field(F)
+    require_construction_field(F.p, F.q)
     q = F.q
     _require_dims(q + 1, k)
     locators = _labeling(F, permutation)
@@ -128,7 +126,7 @@ def construct_divisor(F: Field, n: int, k: int, tail=None) -> ConstructionReport
     canonical element outside {-1, 0, 1} unless overridden (a single value or
     one value per tail coordinate).
     """
-    require_construction_field(F)
+    require_construction_field(F.p, F.q)
     if n <= 1 or (F.q - 1) % n != 0:
         raise ParameterError(f"n = {n} does not divide q - 1 = {F.q - 1}")
     _require_dims(n, k)
@@ -155,7 +153,7 @@ def construct_prime_power(F: Field, level: int, k: int, gamma=None) -> Construct
     and recorded in the report. The scaling element gamma only needs
     gamma^2 != 1.
     """
-    require_construction_field(F)
+    require_construction_field(F.p, F.q)
     if not 1 <= level <= F.e:
         raise ParameterError(f"subgroup degree must be in 1..{F.e}, got {level}")
     n = F.p**level
@@ -187,7 +185,7 @@ def construct_large_nk(F: Field, n: int, k: int, permutation=None) -> Constructi
     different from u_i; squares take (q - 1)/2 >= 2 distinct values, so the
     search cannot fail.
     """
-    require_construction_field(F)
+    require_construction_field(F.p, F.q)
     q = F.q
     if not 1 < n < q:
         raise ParameterError(f"requires 1 < n < q, got n = {n}, q = {q}")
@@ -226,7 +224,7 @@ def construct_window(F: Field, n: int, k: int, permutation=None) -> Construction
     multiplier is the product of (a_i - x) over the first n - k of them,
     nonzero because locators and excluded elements are distinct.
     """
-    require_construction_field(F)
+    require_construction_field(F.p, F.q)
     q = F.q
     if not 1 < n < q:
         raise ParameterError(f"requires 1 < n < q, got n = {n}, q = {q}")
@@ -311,7 +309,7 @@ def applicable_conditions(F: Field, n: int, k: int) -> list[str]:
     First runs the boundary checks every family shares (odd q > 3,
     n <= q + 1, 1 < k <= n/2) and raises ParameterError if one fails.
     """
-    require_construction_field(F)
+    require_construction_field(F.p, F.q)
     if n > F.q + 1:
         raise ParameterError(f"n = {n} exceeds q + 1 = {F.q + 1}")
     _require_dims(n, k)

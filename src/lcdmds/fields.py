@@ -14,6 +14,13 @@ Zech logarithm Z(m) = log(1 + g^m), which adds in an extension field through
 g^x + g^y = g^(x + Z(y - x)) (Huber, IEEE T-IT 36(4), 1990). Prime fields
 add modulo p. The order cap q <= 2^16 keeps the tables manageable.
 
+The tables come from exact int64 array arithmetic, with no loop over the
+elements: multiplying by c maps digit rows through an e x e matrix over GF(p),
+so the rows of g^0 .. g^(m-1) times the matrix of g^m are those of g^m ..
+g^(2m-1), and doubling m makes exp in about log2(q) products. Candidates for
+g are tested in blocks by squaring their matrices. Log is one scatter into
+exp, the inverses one gather.
+
 FieldArrays applies the same arithmetic element-wise to numpy arrays of
 element indices, for kernels that work on many matrices at once. It wraps
 the field's tables as arrays on first use and builds none of its own.
@@ -32,21 +39,6 @@ from .errors import ParameterError
 MAX_ORDER = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
     out = []
@@ -60,6 +52,10 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and prime_factors(n) == [n]
 
 
 def json_int(value, name: str) -> int:
@@ -145,12 +141,14 @@ def is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def find_modulus(p: int, e: int) -> tuple[int, ...]:
     """First monic irreducible of degree e, low-degree-first coefficient order.
 
     For e = 1 this is X itself, the prime-field convention. For e >= 2 a zero
     constant term makes X a factor, so those candidates are skipped.
     """
+    checked_order(p, e)  # a p that is not prime, or over the cap, never reaches the search
     for low in product(range(1 if e > 1 else 0, p), *[range(p)] * (e - 1)):
         cand = list(low) + [1]
         if is_irreducible(cand, p):
@@ -161,19 +159,24 @@ def find_modulus(p: int, e: int) -> tuple[int, ...]:
 # ---------- the field itself ----------
 
 
+def checked_order(p: int, e: int) -> int:
+    """The order p^e of a field with p prime, e >= 1 and p^e within the cap."""
+    if e < 1:
+        raise ParameterError(f"extension degree must be at least 1, got {e}")
+    # The cap comes before the primality test, whose trial division does
+    # not end on a huge p; p^e is only computed once both are small.
+    if p > MAX_ORDER or (p > 1 and (e >= MAX_ORDER.bit_length() or p**e > MAX_ORDER)):
+        raise ParameterError(f"field order {p}^{e} exceeds the supported cap 2^16")
+    if not is_prime(p):
+        raise ParameterError(f"{p} is not prime")
+    return p**e
+
+
 class Field:
     """The finite field GF(p^e) under the canonical element labeling."""
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if e < 1:
-            raise ParameterError(f"extension degree must be at least 1, got {e}")
-        # The cap comes before the primality test, whose trial division does
-        # not end on a huge p; p^e is only computed once both are small.
-        if p > MAX_ORDER or (p > 1 and (e >= MAX_ORDER.bit_length() or p**e > MAX_ORDER)):
-            raise ParameterError(f"field order {p}^{e} exceeds the supported cap 2^16")
-        if not is_prime(p):
-            raise ParameterError(f"{p} is not prime")
-        q = p**e
+        q = checked_order(p, e)
         self.p = p
         self.e = e
         self.q = q
@@ -187,50 +190,55 @@ class Field:
                 raise ParameterError("modulus is not irreducible")
         self._build_tables()
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        # table-free product, used only while bootstrapping the tables
-        da, db = self._digits[a], self._digits[b]
-        prod = _mulmod(_trim(list(da)), _trim(list(db)), list(self.modulus), self.p)
-        return self.from_coeffs(prod)
-
-    def _raw_pow(self, a: int, m: int) -> int:
-        r = 1
-        while m:
-            if m & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            m >>= 1
-        return r
-
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
         q1 = q - 1
         weights = p ** np.arange(e, dtype=np.int64)
         digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
-        self._digits = list(map(tuple, digits.tolist()))
-        radicals = [q1 // r for r in prime_factors(q1)] if q > 2 else []
-        g = 1
-        for g in range(1, q):
-            if all(self._raw_pow(g, m) != 1 for m in radicals):
-                break
-        self.primitive_element = g
-        exp = [0] * q1
-        log = [2 * q1] * q  # the sentinel log 0 = 2(q - 1)
-        x = 1
-        for i in range(q1):
-            exp[i] = x
-            log[x] = i
-            x = self._raw_mul(x, g)
-        self._log = log
+        self._digits = list(zip(*digits.T.tolist()))
+        # The matrix of multiplication by c has row j = c x^j = sum_i c_i x^(i + j);
+        # with xpow[t] = x^t mod the modulus, times() builds a stack of them.
+        xpow = np.eye(2 * e - 1, e, dtype=np.int64)
+        for t in range(e, 2 * e - 1):
+            xpow[t, 1:] = xpow[t - 1, :-1]
+            xpow[t] = (xpow[t] - xpow[t - 1, -1] * np.array(self.modulus[:e])) % p
+        hankel = xpow[np.arange(e)[:, None] + np.arange(e)].reshape(e, e * e)
+
+        def times(cs):
+            return (digits[cs] @ hankel % p).reshape(np.shape(cs) + (e, e))
+
+        # The first g with g^((q - 1)/r) != 1 for each prime r | q - 1, tested on
+        # blocks that double in size; for e >= 2 the prime subfield has none.
+        radicals = np.array([q1 // r for r in prime_factors(q1)], dtype=np.int64)
+        bits = (radicals >> np.arange(q1.bit_length())[:, None] & 1 == 1)[..., None, None, None]
+        start, size, found = (1 if e == 1 else p), 8, ()
+        while len(found) == 0:
+            cs = np.arange(start, min(start + size, q))
+            base = times(cs)  # squared each bit: the matrices of cs^(2^bit)
+            acc = digits[[1]]  # grows into the rows of cs^(m mod 2^bit) for each radical m
+            for hit in bits:
+                acc = np.where(hit, acc @ base % p, acc)
+                base = base @ base % p
+            found = np.flatnonzero((acc[:, :, 0] @ weights != 1).all(axis=0))
+            start, size = start + size, 2 * size
+        g = self.primitive_element = int(cs[found[0]])
+        rows, step, m = np.empty((q1, e), dtype=np.int64), times(g), 1
+        rows[0] = digits[1]
+        while m < q1:
+            rows[m : 2 * m] = rows[: min(m, q1 - m)] @ step % p
+            step, m = step @ step % p, 2 * m
+        exp = rows @ weights
+        log = np.full(q, 2 * q1, dtype=np.int64)  # the sentinel log 0 = 2(q - 1)
+        log[exp] = np.arange(q1)
+        self._log = log.tolist()
         # exp twice, then zeros: log a + log b >= 2(q - 1) iff a or b is 0
-        self._exp = exp + exp + [0] * (2 * q1 + 1)
-        one_plus = digits[exp]  # digits of g^m, m = 0..q-2
-        one_plus[:, 0] = (one_plus[:, 0] + 1) % p
+        self._exp = exp.tolist() * 2 + [0] * (2 * q1 + 1)
+        rows[:, 0] = (rows[:, 0] + 1) % p  # digits of 1 + g^m, m = 0..q-2
         # Zech and inverses share their int objects with log and exp
-        self._zech = [log[i] for i in (one_plus @ weights).tolist()]
+        self._zech = list(map(self._log.__getitem__, (rows @ weights).tolist()))
         self._neg = ((-digits % p) @ weights).tolist()
         # q1 - log 0 = -(q - 1) indexes the zero tail; inv(0) raises anyway
-        self._inv = [self._exp[q1 - x] for x in log]
+        self._inv = list(map(self._exp.__getitem__, (q1 - log).tolist()))
 
     @cached_property
     def arrays(self) -> "FieldArrays":
@@ -351,9 +359,9 @@ class Field:
         """The field of a serialized record; the shared field() instance when
         the modulus is absent or canonical, else a validated new Field."""
         p, e, modulus = json_int(d["p"], "p"), json_int(d["e"], "e"), d.get("modulus")
-        F = field(p, e)
-        if modulus is None or tuple(json_int(c, "modulus") % p for c in modulus) == F.modulus:
-            return F
+        canonical = find_modulus(p, e)  # checks p and e first
+        if modulus is None or tuple(json_int(c, "modulus") % p for c in modulus) == canonical:
+            return field(p, e)
         return cls(p, e, modulus)
 
 
@@ -405,17 +413,18 @@ def field(p: int, e: int = 1) -> Field:
 
 def field_from_order(q: int) -> Field:
     """Field of the given prime-power order q."""
+    return field(*prime_power(q))
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with p prime and p^e = q, for q within the order cap."""
     if q < 2:
         raise ParameterError(f"{q} is not a prime power")
     # before prime_factors, whose trial division does not end on a huge q
     if q > MAX_ORDER:
         raise ParameterError(f"field order {q} exceeds the supported cap 2^16")
     p = min(prime_factors(q))
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
+    e = next(e for e in range(1, q.bit_length() + 1) if p**e >= q)
+    if p**e != q:
         raise ParameterError(f"{q} is not a prime power")
-    return field(p, e)
+    return p, e

@@ -2,7 +2,23 @@
 
 from itertools import combinations, product
 
-from lcdmds import GrsSpec, LinearCode, ParameterError
+import pytest
+
+from lcdmds import Field, GrsSpec, LinearCode, ParameterError
+
+
+@pytest.fixture
+def field_builds(monkeypatch):
+    """The order of each Field whose tables are built while the test runs."""
+    builds = []
+    build = Field._build_tables
+
+    def counted(self):
+        builds.append(self.q)
+        build(self)
+
+    monkeypatch.setattr(Field, "_build_tables", counted)
+    return builds
 
 
 def dot(F, a, b):
@@ -190,3 +206,55 @@ def random_grs_spec(F, rng, max_k=None):
 def all_messages(F, k):
     """Every polynomial of degree < k, as coefficient tuples."""
     return product(range(F.q), repeat=k)
+
+
+def field_tables_scalar(p, e, modulus):
+    """Field tables by one digit-polynomial product at a time: the reference
+    for Field._build_tables.
+
+    Returns the primitive element and the exp, log, Zech, negation and
+    inverse tables, laid out as the Field attributes of the same names.
+    """
+    q = p**e
+    q1 = q - 1
+
+    def digits(a):
+        return [a // p**i % p for i in range(e)]
+
+    def index(coeffs):
+        return sum(c % p * p**i for i, c in enumerate(coeffs))
+
+    def mul(a, b):
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for t in range(2 * e - 2, e - 1, -1):  # x^t = x^(t - e) (x^e - modulus)
+            for j in range(e):
+                prod[t - e + j] -= prod[t] * modulus[j]
+        return index(prod[:e])
+
+    def power(a, m):
+        out = 1
+        for _ in range(m.bit_length()):
+            if m & 1:
+                out = mul(out, a)
+            a, m = mul(a, a), m >> 1
+        return out
+
+    primes = [r for r in range(2, q1 + 1) if q1 % r == 0 and all(r % d for d in range(2, r))]
+    g = next(g for g in range(1, q) if all(power(g, q1 // r) != 1 for r in primes))
+    exp = [1]
+    while len(exp) < q1:
+        exp.append(mul(exp[-1], g))
+    log = [2 * q1] * q  # the sentinel log 0
+    for i, x in enumerate(exp):
+        log[x] = i
+    return {
+        "primitive_element": g,
+        "_exp": exp + exp + [0] * (2 * q1 + 1),
+        "_log": log,
+        "_zech": [log[index([d + (i == 0) for i, d in enumerate(digits(x))])] for x in exp],
+        "_neg": [index([-d for d in digits(a)]) for a in range(q)],
+        "_inv": [0] + [exp[-log[a] % q1] for a in range(1, q)],
+    }

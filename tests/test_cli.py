@@ -169,6 +169,22 @@ def test_huge_q_exits_2_at_once(capsys):
         assert rc == 2 and "cap 2^16" in err and "Traceback" not in err
 
 
+def test_unusable_fields_exit_2_before_a_table_build(capsys, tmp_path, field_builds):
+    # the constructions reject even q from the parsed order, before GF(2^16) is built
+    for argv in (("construct", "--q", "65536", "--n", "5", "--k", "2"),
+                 ("sweep", "--p", "2", "--e", "16")):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2 and "q = 65536 has even characteristic" in err
+    # the record's p is checked before its modulus is compared with the canonical one
+    for record, message in (({"p": 4, "e": 2, "modulus": [1, 1, 1]}, "not prime"),
+                            ({"p": 65537, "e": 1, "modulus": [0, 1]}, "cap")):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"field": record, "generator": [[1]]}))
+        rc, _, err = run(capsys, "verify", str(path))
+        assert rc == 2 and message in err and "Traceback" not in err
+    assert field_builds == []
+
+
 def test_verify_budget_exit_5(capsys, tmp_path):
     rc, out, _ = run(capsys, "construct", "--q", "9", "--n", "9", "--k", "4")
     path = tmp_path / "big.json"

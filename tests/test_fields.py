@@ -1,11 +1,12 @@
 import random
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import digit_add, digit_neg, multiplicative_order_brute
-from lcdmds import Field, GrsSpec, LinearCode, ParameterError, field, field_from_order
+from conftest import digit_add, digit_neg, field_tables_scalar, multiplicative_order_brute
+from lcdmds import Field, GrsSpec, LinearCode, ParameterError, field, field_from_order, fields
 from lcdmds.fields import find_modulus, is_irreducible, is_prime, prime_factors
 
 
@@ -66,6 +67,27 @@ def test_from_dict_reuses_the_shared_field():
     assert other is not F and other.modulus == (2, 2, 1)
     with pytest.raises(ParameterError, match="irreducible"):
         Field.from_dict({"p": 3, "e": 2, "modulus": [2, 0, 1]})
+
+
+def test_from_dict_builds_one_table_set(monkeypatch, field_builds):
+    monkeypatch.setattr(fields, "field", lru_cache(maxsize=None)(Field))  # an empty cache
+    other = Field.from_dict({"p": 3, "e": 5, "modulus": [2, 2, 1, 2, 0, 1]})
+    assert other.modulus == (2, 2, 1, 2, 0, 1) and field_builds == [243]
+    F = fields.field(3, 5)
+    assert Field.from_dict(F.to_dict()) is Field.from_dict({"p": 3, "e": 5}) is F
+    assert field_builds == [243, 243]
+
+
+@pytest.mark.parametrize(
+    "p, e, modulus",
+    [(2, 1, None), (3, 1, None), (2, 8, None), (3, 5, None), (5, 3, None), (3, 7, None),
+     (7, 5, None), (127, 2, None), (3, 2, (2, 2, 1)), (3, 5, (2, 2, 1, 2, 0, 1))],
+)
+def test_tables_match_scalar_reference(p, e, modulus):
+    F = field(p, e) if modulus is None else Field(p, e, modulus)
+    assert F.modulus == (modulus or find_modulus(p, e))
+    for name, table in field_tables_scalar(p, e, F.modulus).items():
+        assert getattr(F, name) == table, name
 
 
 @pytest.mark.parametrize("p,e", [(7, 1), (2, 4), (3, 3), (3, 7), (65521, 1)])
@@ -193,7 +215,8 @@ def test_coeffs_encoding_is_base_p():
 
 
 def test_primitive_element_matches_bruteforce():
-    for p, e in [(5, 1), (7, 1), (3, 1), (3, 2), (13, 1), (3, 3)]:
+    # the search skips the prime subfield of an extension field
+    for p, e in [(5, 1), (7, 1), (3, 1), (3, 2), (13, 1), (3, 3), (2, 8), (5, 3), (3, 5), (7, 3)]:
         F = field(p, e)
         oracle = next(
             g for g in range(1, F.q) if multiplicative_order_brute(F, g) == F.q - 1
