@@ -33,7 +33,7 @@ from .errors import (
 from .fields import Field, field, field_from_order
 from .grs import GrsSpec, dual_multipliers
 from .linear import DEFAULT_BUDGET, LinearCode, mat_mul, rref
-from .poly import Poly, interpolate, linear_product
+from .poly import Poly, interpolate
 
 __all__ = [
     "ALL_THEOREMS",
@@ -65,7 +65,6 @@ __all__ = [
     "field",
     "field_from_order",
     "interpolate",
-    "linear_product",
     "mat_mul",
     "rref",
     "verify_report",

@@ -194,8 +194,7 @@ class Field:
         p, e, q = self.p, self.e, self.q
         q1 = q - 1
         weights = p ** np.arange(e, dtype=np.int64)
-        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
-        self._digits = list(zip(*digits.T.tolist()))
+        digits = self._digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
         # The matrix of multiplication by c has row j = c x^j = sum_i c_i x^(i + j);
         # with xpow[t] = x^t mod the modulus, times() builds a stack of them.
         xpow = np.eye(2 * e - 1, e, dtype=np.int64)
@@ -258,7 +257,7 @@ class Field:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial-basis coefficient vector of an element, low degree first."""
-        return self._digits[self.check(a)]
+        return tuple(self._digits[self.check(a)].tolist())
 
     def from_coeffs(self, coeffs) -> int:
         v = 0
@@ -272,15 +271,27 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         self.check(a), self.check(b)
+        return self._add(a, b)
+
+    def sub(self, a: int, b: int) -> int:
+        self.check(a), self.check(b)
+        return self._sub(a, b)
+
+    # _add, _sub, _mul and the _inv and _neg lists take elements without a
+    # check: they serve loops whose operands were checked where they entered.
+
+    def _add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
         return self._zech_add(a, b)
 
-    def sub(self, a: int, b: int) -> int:
-        self.check(a), self.check(b)
+    def _sub(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a - b) % self.p
         return self._zech_add(a, self._neg[b])
+
+    def _mul(self, a: int, b: int) -> int:
+        return self._exp[self._log[a] + self._log[b]]
 
     def _zech_add(self, a: int, b: int) -> int:
         # g^x + g^y = g^(x + Z(y - x)); Z is indexed mod q - 1 by Python's
@@ -379,7 +390,7 @@ class FieldArrays:
         self.p = F.p
         self.prime = F.e == 1
         self.inv_table = np.array(F._inv, dtype=np.int64)
-        self.digits = np.array(F._digits, dtype=np.min_scalar_type(2 * (F.p - 1)))
+        self.digits = F._digits.astype(np.min_scalar_type(2 * (F.p - 1)))
         if self.prime:
             return
         self.q1 = F.q - 1

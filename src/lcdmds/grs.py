@@ -11,6 +11,10 @@ multipliers u_i / v_i, where u_i = prod_{j != i} (a_i - a_j)^(-1). Membership
 of a codeword in the dual can be decided without any linear algebra by
 interpolating a witness polynomial and testing its degree; in_dual implements
 that route, independent of the null-space machinery in linear.py.
+
+Locators, multipliers and messages are checked when a GrsSpec or Poly is
+made, so the dual multipliers and the point lists of codeword and in_dual
+are computed unchecked on the field's tables.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ from .poly import Poly, interpolate
 
 @lru_cache(maxsize=65536)
 def _dual_multipliers_cached(F: Field, locators: tuple[int, ...]) -> tuple[int, ...]:
-    mul, sub, inv = F.mul, F.sub, F.inv
+    mul, sub, inv = F._mul, F._sub, F._inv
     out = []
     for i, ai in enumerate(locators):
         prod = 1
         for j, aj in enumerate(locators):
             if j != i:
                 prod = mul(prod, sub(ai, aj))
-        out.append(inv(prod))
+        out.append(inv[prod])
     return tuple(out)
 
 
@@ -116,7 +120,7 @@ class GrsSpec:
             raise FieldMismatch(f"{f.field!r} vs {F!r}")
         if f.degree > self.k - 1:
             raise ParameterError(f"message degree {f.degree} exceeds k - 1 = {self.k - 1}")
-        word = [F.mul(v, f.eval(a)) for v, a in zip(self.multipliers, self.locators)]
+        word = [F._mul(v, f.eval(a)) for v, a in zip(self.multipliers, self.locators)]
         if self.extended:
             word.append(f.coeff(self.k - 1))
         return tuple(word)
@@ -147,7 +151,7 @@ class GrsSpec:
             raise FieldMismatch(f"{f.field!r} vs {F!r}")
         if f.degree > self.k - 1:
             raise ParameterError(f"message degree {f.degree} exceeds k - 1 = {self.k - 1}")
-        points = [(a, F.mul(s, f.eval(a))) for s, a in zip(self._dual_scale, self.locators)]
+        points = [(a, F._mul(s, f.eval(a))) for s, a in zip(self._dual_scale, self.locators)]
         g = interpolate(F, points)
         if self.extended:
             return g.degree <= F.q - self.k and g.coeff(F.q - self.k) == f.coeff(self.k - 1)

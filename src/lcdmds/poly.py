@@ -3,11 +3,15 @@
 Coefficients are stored low degree first with no trailing zeros; the zero
 polynomial is the empty tuple and its degree is -inf, so degree-bound tests
 like deg g <= n - k - 1 hold for it uniformly.
+
+Elements are checked where they enter (the coefficients given to Poly, the x
+given to eval, the points given to interpolate), and the Horner and
+divided-difference loops then run unchecked on the field's tables.
 """
 
 from __future__ import annotations
 
-from .errors import FieldMismatch, ParameterError
+from .errors import ParameterError
 from .fields import Field
 
 NEG_INF = float("-inf")
@@ -37,9 +41,10 @@ class Poly:
         """Horner evaluation at a field element."""
         F = self.field
         F.check(x)
+        add, mul = F._add, F._mul
         acc = 0
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
+            acc = add(mul(acc, x), c)
         return acc
 
     def coeff(self, i: int) -> int:
@@ -47,42 +52,6 @@ class Poly:
         if i < 0:
             raise ParameterError("coefficient index must be nonnegative")
         return self.coeffs[i] if i < len(self.coeffs) else 0
-
-    def _same_field(self, other: "Poly") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._same_field(other)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(self.field.neg(1))
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._same_field(other)
-        F = self.field
-        if self.is_zero() or other.is_zero():
-            return Poly(F)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly(F, out)
-
-    def scale(self, c: int) -> "Poly":
-        F = self.field
-        F.check(c)
-        return Poly(F, [F.mul(c, a) for a in self.coeffs])
 
     def __eq__(self, other):
         return (
@@ -103,19 +72,6 @@ class Poly:
         return f"Poly({self.field!r}, {terms})"
 
 
-def linear_product(field: Field, roots) -> Poly:
-    """Monic polynomial prod (X - r) over the multiset of roots."""
-    out = [1]
-    for r in roots:
-        field.check(r)
-        nr = field.neg(r)
-        out.append(0)
-        for j in range(len(out) - 1, 0, -1):
-            out[j] = field.add(out[j - 1], field.mul(out[j], nr))
-        out[0] = field.mul(out[0], nr)
-    return Poly(field, out)
-
-
 def interpolate(field: Field, points) -> Poly:
     """Unique polynomial of degree < m through m points, by divided differences.
 
@@ -129,20 +85,20 @@ def interpolate(field: Field, points) -> Poly:
         raise ParameterError("duplicate interpolation node")
     ys = [field.check(y) for _, y in pts]
 
-    sub, mul, inv = field.sub, field.mul, field.inv
+    add, sub, mul, inv = field._add, field._sub, field._mul, field._inv
     m = len(pts)
     d = list(ys)
     for j in range(1, m):
         for i in range(m - 1, j - 1, -1):
-            d[i] = mul(sub(d[i], d[i - 1]), inv(sub(xs[i], xs[i - j])))
+            d[i] = mul(sub(d[i], d[i - 1]), inv[sub(xs[i], xs[i - j])])
     # Horner-expand the Newton form into plain coefficients
     out = [0] * m
     out[0] = d[m - 1]
     deg = 0
     for j in range(m - 2, -1, -1):
-        nx = field.neg(xs[j])
+        nx = field._neg[xs[j]]
         deg += 1
         for t in range(deg, 0, -1):
-            out[t] = field.add(out[t - 1], mul(out[t], nx))
-        out[0] = field.add(mul(out[0], nx), d[j])
+            out[t] = add(out[t - 1], mul(out[t], nx))
+        out[0] = add(mul(out[0], nx), d[j])
     return Poly(field, out)

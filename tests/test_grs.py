@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcdmds.grs
 from conftest import dot, in_dual_direct, random_grs_spec
@@ -115,6 +117,9 @@ def test_dual_multipliers_examples():
     assert dual_multipliers(F5, (0, 1, 2)) == (3, 4, 3)
     with pytest.raises(ParameterError, match="duplicate"):
         dual_multipliers(F5, (1, 1))
+    for bad in (5, -1, True):  # the product loop runs unchecked
+        with pytest.raises(ParameterError, match="element index"):
+            dual_multipliers(F5, (0, bad))
 
 
 def test_dual_multipliers_all_elements_constant():
@@ -215,6 +220,44 @@ def test_in_dual_matches_direct_check_random():
         for _ in range(50):
             f = Poly(F, [rng.randrange(F.q) for _ in range(spec.k)])
             assert spec.in_dual(f) == in_dual_direct(spec, f)
+
+
+@st.composite
+def extension_specs(draw):
+    """A GRS spec over GF(8), GF(9), GF(25) or GF(27), plain or extended."""
+    F = field(*draw(st.sampled_from([(2, 3), (3, 2), (5, 2), (3, 3)])))
+    q = F.q
+    extended = draw(st.booleans())
+    locs = draw(st.permutations(range(q)))
+    if not extended:
+        locs = locs[: draw(st.integers(2, q))]
+    n = len(locs)
+    # multipliers from {1, -1} give nonzero hulls, and so accepted messages, often
+    units = draw(st.booleans())
+    mult = st.sampled_from([1, F.neg(1)]) if units else st.integers(1, q - 1)
+    mults = draw(st.lists(mult, min_size=n, max_size=n))
+    k = draw(st.integers(1, min(n, 4)))
+    return GrsSpec(F, tuple(locs), tuple(mults), k, extended=extended)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(extension_specs(), st.data())
+def test_in_dual_matches_direct_check_in_extension_fields(spec, data):
+    F = spec.field
+    exhaustive = F.q**spec.k <= 100
+    if exhaustive:
+        messages = list(product(range(F.q), repeat=spec.k))
+    else:
+        coeff = st.integers(0, F.q - 1)
+        messages = data.draw(st.lists(st.tuples(*[coeff] * spec.k), min_size=1, max_size=6))
+    accepted = 0
+    for coeffs in messages:
+        f = Poly(F, coeffs)
+        verdict = spec.in_dual(f)
+        assert verdict == in_dual_direct(spec, f)
+        accepted += verdict
+    if exhaustive:  # every message: the accepted ones are the hull
+        assert accepted == F.q ** spec.generator().hull_dimension()
 
 
 def test_extended_dual_shape_for_unit_multipliers():

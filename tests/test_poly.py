@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lcdmds import FieldMismatch, ParameterError, Poly, field, interpolate, linear_product
+from lcdmds import FieldMismatch, GrsSpec, ParameterError, Poly, field, interpolate
 
 F5 = field(5)
 F7 = field(7)
@@ -31,23 +31,6 @@ def test_degree_and_normalization():
     assert zero.degree == float("-inf")
     # the sentinel sits below every integer bound
     assert zero.degree <= -1 and zero.degree <= 0 and zero.degree <= 10
-
-
-def test_linear_product_examples():
-    assert linear_product(F5, [1, 2]).coeffs == (2, 2, 1)  # X^2 + 2X + 2
-    assert linear_product(F5, []).coeffs == (1,)
-    assert linear_product(F7, [0, 0]).coeffs == (0, 0, 1)  # X^2
-
-
-def test_linear_product_vanishes_exactly_on_roots():
-    for F in (F5, F7, field(3, 2)):
-        roots = [1, 3] if F.q > 3 else [1]
-        f = linear_product(F, roots)
-        for x in F.elements():
-            if x in roots:
-                assert f.eval(x) == 0
-            else:
-                assert f.eval(x) != 0
 
 
 def test_interpolate_examples():
@@ -90,28 +73,32 @@ def test_interpolate_degree_bound():
         assert g.coeff(j) == 0
 
 
-def test_arith_examples():
-    assert (Poly(F5, [1, 1]) + Poly(F5, [4, 4])).is_zero()
-    f3 = field(3)
-    assert (Poly(f3, [0, 1]) * Poly(f3, [0, 1])).coeffs == (0, 0, 1)
-    assert Poly(F5, [1, 0, 1]).scale(0).is_zero()
-    assert (Poly(F5, [3, 1]) - Poly(F5, [4])).coeffs == (4, 1)
-
-
-def test_mul_degree_is_additive():
-    rng = random.Random(9)
-    F = field(7)
-    for _ in range(40):
-        f = Poly(F, [rng.randrange(7) for _ in range(rng.randint(1, 5))] + [rng.randrange(1, 7)])
-        g = Poly(F, [rng.randrange(7) for _ in range(rng.randint(1, 5))] + [rng.randrange(1, 7)])
-        assert (f * g).degree == f.degree + g.degree
-
-
 def test_field_mismatch_rejected():
+    spec = GrsSpec(F5, (0, 1, 2, 3), (1, 1, 1, 1), 2)
     with pytest.raises(FieldMismatch):
-        Poly(F5, [1]) + Poly(F7, [1])
+        spec.in_dual(Poly(F7, [1]))
     with pytest.raises(FieldMismatch):
-        Poly(F5, [1]) * Poly(F7, [1])
+        spec.codeword(Poly(F7, [1]))
+
+
+@pytest.mark.parametrize("bad", [5, -1, True, 1.0])
+def test_interpolate_checks_its_points(bad):
+    # the inner loops run unchecked, so every x and y is checked on entry
+    with pytest.raises(ParameterError, match="element index"):
+        interpolate(F5, [(0, 1), (bad, 2)])
+    with pytest.raises(ParameterError, match="element index"):
+        interpolate(F5, [(0, 1), (1, bad)])
+
+
+def test_eval_and_constructor_check_elements():
+    f = Poly(F5, [1, 2])
+    for bad in (5, -1, True, 1.0):
+        with pytest.raises(ParameterError, match="element index"):
+            f.eval(bad)
+    with pytest.raises(ParameterError, match="element index"):
+        Poly(F5, [5])
+    with pytest.raises(ParameterError, match="element index"):
+        Poly(field(3, 2), [1, 9])
 
 
 def test_poly_is_immutable_value():
