@@ -1,7 +1,7 @@
 """Complementary-dual MDS codes from generalized Reed-Solomon codes.
 
 Exact finite-field arithmetic, GRS and extended GRS code specifications,
-generic linear-code oracles (duals, hulls, minimum distance), and five
+generic linear-code oracles (duals, hulls, the MDS check), and five
 deterministic constructions of LCD MDS codes over odd-characteristic fields.
 """
 
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fields import Field, field, field_from_order
 from .grs import GrsSpec, dual_multipliers
-from .linear import DEFAULT_BUDGET, LinearCode, mat_mul, rref
+from .linear import DEFAULT_BUDGET, LinearCode, rref
 from .poly import Poly, interpolate
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "field",
     "field_from_order",
     "interpolate",
-    "mat_mul",
     "rref",
     "verify_report",
 ]

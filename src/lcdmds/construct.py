@@ -10,7 +10,8 @@ All families need an odd prime power q > 3, a length n <= q + 1 and a
 dimension 1 < k <= floor(n/2) (larger k is covered by duality: the dual of an
 LCD MDS code is again one). FAMILIES, at the end of this module, is the one
 table of the families: each row's tag, CLI flag, parameter condition and
-builder, in the order construct_auto tries them.
+builder, in the order construct_auto tries them. Each builder checks its
+parameters against its own row, through applicable_conditions.
 """
 
 from __future__ import annotations
@@ -58,13 +59,6 @@ def require_construction_field(p: int, q: int) -> None:
         raise ParameterError(f"q = {q} is too small; constructions need q > 3")
 
 
-def _require_dims(n: int, k: int) -> None:
-    if not 1 < k <= n // 2:
-        raise ParameterError(
-            f"k = {k} out of range: need 1 < k <= floor(n/2) = {n // 2} for n = {n}"
-        )
-
-
 def _labeling(F: Field, permutation) -> tuple[int, ...]:
     if permutation is None:
         return tuple(range(F.q))
@@ -93,9 +87,8 @@ def construct_extended(F: Field, k: int, gamma=None, permutation=None) -> Constr
     gamma on the rest; the split point depends on whether k = (q + 1)/2
     (case 2) or k < (q + 1)/2 (case 1).
     """
-    require_construction_field(F.p, F.q)
     q = F.q
-    _require_dims(q + 1, k)
+    _require_family(THEOREM_EXTENDED, F, q + 1, k)
     locators = _labeling(F, permutation)
     if gamma is None:
         gamma = F.primitive_element
@@ -126,10 +119,7 @@ def construct_divisor(F: Field, n: int, k: int, tail=None) -> ConstructionReport
     canonical element outside {-1, 0, 1} unless overridden (a single value or
     one value per tail coordinate).
     """
-    require_construction_field(F.p, F.q)
-    if n <= 1 or (F.q - 1) % n != 0:
-        raise ParameterError(f"n = {n} does not divide q - 1 = {F.q - 1}")
-    _require_dims(n, k)
+    _require_family(THEOREM_DIVISOR, F, n, k)
     omega = F.nth_root_of_unity(n)
     locators = tuple(F.pow(omega, i) for i in range(n))
     if tail is None or isinstance(tail, int):
@@ -153,11 +143,10 @@ def construct_prime_power(F: Field, level: int, k: int, gamma=None) -> Construct
     and recorded in the report. The scaling element gamma only needs
     gamma^2 != 1.
     """
-    require_construction_field(F.p, F.q)
     if not 1 <= level <= F.e:
         raise ParameterError(f"subgroup degree must be in 1..{F.e}, got {level}")
     n = F.p**level
-    _require_dims(n, k)
+    _require_family(THEOREM_PRIME_POWER, F, n, k)
     subgroup = F.additive_subgroup(level)
     gamma = _square_free_unit(F, gamma, "gamma")
     v = (1,) * (n - k) + (gamma,) * k
@@ -185,13 +174,8 @@ def construct_large_nk(F: Field, n: int, k: int, permutation=None) -> Constructi
     different from u_i; squares take (q - 1)/2 >= 2 distinct values, so the
     search cannot fail.
     """
-    require_construction_field(F.p, F.q)
     q = F.q
-    if not 1 < n < q:
-        raise ParameterError(f"requires 1 < n < q, got n = {n}, q = {q}")
-    _require_dims(n, k)
-    if n + k < q + 1:
-        raise ParameterError(f"requires n + k >= q + 1, got {n} + {k} < {q + 1}")
+    _require_family(THEOREM_LARGE_NK, F, n, k)
     labeling = _labeling(F, permutation)
     locators = labeling[:n]
     excluded = labeling[n:]
@@ -224,15 +208,7 @@ def construct_window(F: Field, n: int, k: int, permutation=None) -> Construction
     multiplier is the product of (a_i - x) over the first n - k of them,
     nonzero because locators and excluded elements are distinct.
     """
-    require_construction_field(F.p, F.q)
-    q = F.q
-    if not 1 < n < q:
-        raise ParameterError(f"requires 1 < n < q, got n = {n}, q = {q}")
-    _require_dims(n, k)
-    if not 2 * n - k < q <= 2 * n:
-        raise ParameterError(
-            f"requires 2n - k < q <= 2n, got 2*{n} - {k} = {2 * n - k}, q = {q}"
-        )
+    _require_family(THEOREM_WINDOW, F, n, k)
     labeling = _labeling(F, permutation)
     locators = labeling[:n]
     window = labeling[n : n + (n - k)]
@@ -312,8 +288,25 @@ def applicable_conditions(F: Field, n: int, k: int) -> list[str]:
     require_construction_field(F.p, F.q)
     if n > F.q + 1:
         raise ParameterError(f"n = {n} exceeds q + 1 = {F.q + 1}")
-    _require_dims(n, k)
+    if not 1 < k <= n // 2:
+        raise ParameterError(
+            f"k = {k} out of range: need 1 < k <= floor(n/2) = {n // 2} for n = {n}"
+        )
     return [family.tag for family in FAMILIES if family.applies(F, n, k)]
+
+
+def _require_family(tag: str, F: Field, n: int, k: int) -> Family:
+    """The family tagged tag, once applicable_conditions' boundary checks pass
+    and its own condition holds for (n, k); else ParameterError."""
+    applicable = applicable_conditions(F, n, k)
+    family = next((f for f in FAMILIES if f.tag == tag), None)
+    if family is None:
+        raise ParameterError(f"unknown theorem tag {tag!r}")
+    if tag not in applicable:
+        raise ParameterError(
+            f"{tag} needs {family.condition}; got q = {F.q}, n = {n}, k = {k}"
+        )
+    return family
 
 
 def construct_auto(
@@ -327,27 +320,22 @@ def construct_auto(
     means none of the five constructions covers (n, k), not that no LCD MDS
     code with these parameters exists.
     """
-    applicable = applicable_conditions(F, n, k)
     if theorem is None:
+        applicable = applicable_conditions(F, n, k)
         if not applicable:
             raise NoConstructionApplies(
                 f"no covered family matches q = {F.q}, n = {n}, k = {k}; "
                 "this does not rule out an LCD MDS code with these parameters"
             )
-        theorem = applicable[0]
-    family = next((f for f in FAMILIES if f.tag == theorem), None)
-    if family is None:
-        raise ParameterError(f"unknown theorem tag {theorem!r}")
-    if theorem not in applicable:
-        raise ParameterError(
-            f"{theorem} needs {family.condition}; got q = {F.q}, n = {n}, k = {k}"
-        )
+        family = next(f for f in FAMILIES if f.tag == applicable[0])
+    else:
+        family = _require_family(theorem, F, n, k)
     given = {"gamma": gamma, "tail": tail, "permutation": permutation}
     overrides = {name: value for name, value in given.items() if value is not None}
     unused = [name for name in overrides if name not in family.overrides]
     if unused:
         raise ParameterError(
-            f"{theorem} does not take the {' or '.join(unused)} override; "
+            f"{family.tag} does not take the {' or '.join(unused)} override; "
             f"it takes {' or '.join(family.overrides)}"
         )
     return family.build(F, n, k, **overrides)

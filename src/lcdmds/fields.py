@@ -22,14 +22,15 @@ g are tested in blocks by squaring their matrices. Log is one scatter into
 exp, the inverses one gather.
 
 FieldArrays applies the same arithmetic element-wise to numpy arrays of
-element indices, for kernels that work on many matrices at once. It wraps
-the field's tables as arrays on first use and builds none of its own.
+element indices, for kernels that work on many matrices at once. It holds
+the arrays the tables were computed as, and builds none of its own; the
+scalar operations read the same tables as Python lists.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -229,20 +230,21 @@ class Field:
         exp = rows @ weights
         log = np.full(q, 2 * q1, dtype=np.int64)  # the sentinel log 0 = 2(q - 1)
         log[exp] = np.arange(q1)
-        self._log = log.tolist()
         # exp twice, then zeros: log a + log b >= 2(q - 1) iff a or b is 0
-        self._exp = exp.tolist() * 2 + [0] * (2 * q1 + 1)
+        exp = np.concatenate((exp, exp, np.zeros(2 * q1 + 1, dtype=np.int64)))
         rows[:, 0] = (rows[:, 0] + 1) % p  # digits of 1 + g^m, m = 0..q-2
-        # Zech and inverses share their int objects with log and exp
-        self._zech = list(map(self._log.__getitem__, (rows @ weights).tolist()))
-        self._neg = ((-digits % p) @ weights).tolist()
+        one_plus = rows @ weights
+        neg = (-digits % p) @ weights
         # q1 - log 0 = -(q - 1) indexes the zero tail; inv(0) raises anyway
-        self._inv = list(map(self._exp.__getitem__, (q1 - log).tolist()))
-
-    @cached_property
-    def arrays(self) -> "FieldArrays":
-        """Element-wise arithmetic on numpy index arrays, wrapped on first use."""
-        return FieldArrays(self)
+        inv_log = q1 - log
+        self.arrays = FieldArrays(p, e, digits, exp[inv_log], exp, log, log[one_plus], neg)
+        # The scalar operations read the same tables as lists; Zech and
+        # inverses share their int objects with log and exp.
+        self._log = log.tolist()
+        self._exp = exp[:q1].tolist() * 2 + [0] * (2 * q1 + 1)
+        self._zech = list(map(self._log.__getitem__, one_plus.tolist()))
+        self._neg = neg.tolist()
+        self._inv = list(map(self._exp.__getitem__, inv_log.tolist()))
 
     # -- element plumbing --
 
@@ -386,17 +388,17 @@ class FieldArrays:
     unsigned type that also holds a sum of two digits.
     """
 
-    def __init__(self, F: Field):
-        self.p = F.p
-        self.prime = F.e == 1
-        self.inv_table = np.array(F._inv, dtype=np.int64)
-        self.digits = F._digits.astype(np.min_scalar_type(2 * (F.p - 1)))
+    def __init__(self, p: int, e: int, digits, inv, exp, log, zech, neg):
+        """Takes the int64 tables Field._build_tables computed, laid out as
+        the Field lists of the same names."""
+        self.p = p
+        self.prime = e == 1
+        self.inv_table = inv
+        self.digits = digits.astype(np.min_scalar_type(2 * (p - 1)))
         if self.prime:
             return
-        self.q1 = F.q - 1
-        self.exp, self.log, self.zech, self.neg = (
-            np.array(t, dtype=np.int64) for t in (F._exp, F._log, F._zech, F._neg)
-        )
+        self.q1 = len(log) - 1
+        self.exp, self.log, self.zech, self.neg = exp, log, zech, neg
 
     def mul(self, a, b):
         if self.prime:

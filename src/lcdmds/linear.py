@@ -2,10 +2,11 @@
 
 This module holds the verification oracles everything else is checked
 against: reduced row echelon form and rank, dual codes via null spaces,
-intersection and hull dimensions, and two independent MDS tests (exhaustive
-enumeration of one codeword per projective point, and nonsingularity of
-every k-column submatrix, by an elimination shared along a prefix tree of
-column subsets).
+hull dimensions, and one MDS check, LinearCode.mds_check. It has two named
+routes, and mds_route picks one from (q, n, k) and the budget: enumeration
+of one codeword per projective point, which also gives the minimum
+distance, and column subsets, the nonsingularity of every k-column
+submatrix by an elimination shared along a prefix tree of column subsets.
 Matrices are sequences of rows of canonical element indices. Their elements
 are checked once, in _matrix, where a matrix enters the public functions or
 a LinearCode; then RREF (one Gauss-Jordan step per pivot), the product G Gt
@@ -20,7 +21,7 @@ from math import comb, log10
 
 import numpy as np
 
-from .errors import BudgetExceeded, FieldMismatch, ParameterError
+from .errors import BudgetExceeded, ParameterError
 from .fields import Field, json_int
 
 # The one default work budget, for the library and the CLI alike: at most
@@ -108,18 +109,6 @@ def _rref(field: Field, A):
     return tuple(map(tuple, A.tolist())), len(pivots), tuple(pivots)
 
 
-def mat_mul(field: Field, A, B):
-    """Exact matrix product over the field: in an extension field the base-p
-    digits of the entry-wise products are summed mod p along the inner axis."""
-    A = _matrix(field, A)
-    B = _matrix(field, B)
-    if A and B and len(A[0]) != len(B):
-        raise ParameterError("inner dimensions do not match")
-    if not (A and B):
-        return [[] for _ in A]
-    return _product(field, np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)).tolist()
-
-
 def _product(field: Field, a, b):
     """a @ b over the field, for checked int64 arrays."""
     p = field.p
@@ -179,18 +168,6 @@ class LinearCode:
         """The generator as a fresh (k, n) int64 array."""
         return np.array(self.gen, dtype=np.int64).reshape(self.k, self.n)
 
-    def _same_space(self, other: "LinearCode"):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-        if self.n != other.n:
-            raise ParameterError(f"length mismatch: {self.n} vs {other.n}")
-
-    def same_row_space(self, other: "LinearCode") -> bool:
-        self._same_space(other)
-        a, ra, _ = _rref(self.field, self._array())
-        b, rb, _ = _rref(other.field, other._array())
-        return a[:ra] == b[:rb]
-
     def dual(self) -> "LinearCode":
         """The dual code under the standard inner product, in RREF."""
         F = self.field
@@ -206,12 +183,6 @@ class LinearCode:
             return LinearCode(F, [], n=self.n)
         return LinearCode(F, _rref(F, np.array(rows, dtype=np.int64))[0])  # rows are independent
 
-    def intersection_dim(self, other: "LinearCode") -> int:
-        """dim(C1 and C2) = k1 + k2 - rank of the stacked generators."""
-        self._same_space(other)
-        _, rank, _ = _rref(self.field, np.vstack((self._array(), other._array())))
-        return self.k + other.k - rank
-
     def hull_dimension(self) -> int:
         """dim(C and C-dual) = k - rank(G Gt)."""
         G = self._array()
@@ -221,23 +192,7 @@ class LinearCode:
     def is_lcd(self) -> bool:
         return self.hull_dimension() == 0
 
-    # -- minimum distance / MDS oracles --
-
-    def minimum_distance(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Minimum Hamming weight over all nonzero codewords.
-
-        Exhaustive enumeration of one codeword per projective point, which
-        weighs (q^k - 1)/(q - 1) of them; raises BudgetExceeded unless
-        mds_route picks enumeration (use is_mds, which can fall back to
-        column subsets).
-        """
-        q, k = self.field.q, self.k
-        if mds_route(q, self.n, k, budget) != ROUTE_ENUMERATION:
-            raise BudgetExceeded(
-                f"minimum distance: {_amount(q**k, f'{q}^{k}')} codewords "
-                f"exceed the budget {budget}"
-            )
-        return self._enumerate_min_weight()
+    # -- the MDS check and its two route kernels --
 
     def _enumerate_min_weight(self) -> int:
         """Minimum weight over one nonzero codeword per projective point.
@@ -271,7 +226,7 @@ class LinearCode:
                 np.minimum(span, span - dtype(p), out=span)
         return best
 
-    def mds_by_column_subsets(self) -> bool:
+    def _mds_by_column_subsets(self) -> bool:
         """MDS iff every k-subset of generator columns is nonsingular.
 
         The subsets c_1 < ... < c_k are the leaves of a prefix tree, walked
@@ -291,8 +246,6 @@ class LinearCode:
         pairs of one chunk share few columns and drop many.
         It runs whatever C(n, k); mds_check decides when it fits the budget.
         """
-        if self.k == 0:
-            raise ParameterError("zero-dimensional code has no MDS predicate")
         F, n = self.field, self.n
         gen = self._array()
         if self.k == 1:
@@ -340,17 +293,16 @@ class LinearCode:
         return True
 
     def mds_check(self, budget: int = DEFAULT_BUDGET):
-        """(is_mds, route, min_distance) using the first route within budget.
+        """(is_mds, route, min_distance): the one public MDS check.
 
-        min_distance is None when the column-subset route decided.
+        mds_route picks the route, ROUTE_ENUMERATION or ROUTE_COLUMN_SUBSETS,
+        or raises BudgetExceeded (and ParameterError for k = 0) before any
+        work. min_distance is None when the column-subset route decided.
         """
         if mds_route(self.field.q, self.n, self.k, budget) == ROUTE_ENUMERATION:
             d = self._enumerate_min_weight()
             return d == self.n - self.k + 1, ROUTE_ENUMERATION, d
-        return self.mds_by_column_subsets(), ROUTE_COLUMN_SUBSETS, None
-
-    def is_mds(self, budget: int = DEFAULT_BUDGET) -> bool:
-        return self.mds_check(budget)[0]
+        return self._mds_by_column_subsets(), ROUTE_COLUMN_SUBSETS, None
 
     def verdict(self, budget: int = DEFAULT_BUDGET) -> dict:
         """Hull dimension and MDS check, as the JSON-ready LCD/MDS verdict.

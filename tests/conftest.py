@@ -80,7 +80,7 @@ def subsets_nonsingular_scalar(code):
     """MDS iff every k-column submatrix is nonsingular, one subset at a time.
 
     Scalar Gaussian elimination on Field ops: the reference for the batched
-    kernel in LinearCode.mds_by_column_subsets.
+    kernel in LinearCode._mds_by_column_subsets.
     """
     F = code.field
     k = code.k
@@ -130,8 +130,27 @@ def rref_scalar(F, rows):
     return tuple(tuple(row) for row in M), r, tuple(pivots)
 
 
+def same_row_space(a, b):
+    """Whether two codes over one field and length span the same space, by
+    comparing their scalar RREFs."""
+    assert a.field == b.field and a.n == b.n
+    return rref_scalar(a.field, a.gen)[0] == rref_scalar(b.field, b.gen)[0]
+
+
+def intersection_dim(a, b):
+    """dim(A and B) = k_a + k_b - the scalar rank of the stacked generators."""
+    assert a.field == b.field and a.n == b.n
+    return a.k + b.k - rref_scalar(a.field, a.gen + b.gen)[1]
+
+
+def enumerated_min_distance(code):
+    """The minimum distance from mds_check's enumeration route, which a
+    budget of q^k always selects."""
+    return code.mds_check(code.field.q**code.k)[2]
+
+
 def mat_mul_scalar(F, A, B):
-    """Matrix product by Field ops, one entry at a time: the reference for linear.mat_mul."""
+    """Matrix product by Field ops, one entry at a time: the reference for linear._product."""
     out = []
     for row in A:
         acc = [0] * (len(B[0]) if B else 0)

@@ -14,7 +14,13 @@ from math import comb
 
 import pytest
 
-from conftest import conditions_oracle, in_dual_direct
+from conftest import (
+    conditions_oracle,
+    enumerated_min_distance,
+    in_dual_direct,
+    intersection_dim,
+    same_row_space,
+)
 from lcdmds import (
     GrsSpec,
     LinearCode,
@@ -124,7 +130,7 @@ def test_criterion_03_dual_formula_vs_null_space():
         locs = tuple(rng.sample(range(F.q), n))
         mults = tuple(rng.randrange(1, F.q) for _ in range(n))
         spec = GrsSpec(F, locs, mults, k)
-        assert spec.dual().generator().same_row_space(spec.generator().dual())
+        assert same_row_space(spec.dual().generator(), spec.generator().dual())
         checked += 1
     print("PASS criterion 3: 200 random specs, multiplier-formula dual RREF == null-space dual RREF")
 
@@ -210,9 +216,9 @@ def test_criterion_07_mds_routes_cross_check(grid):
     for c in covered(cells):
         code = c.report.spec.generator()
         if c.q**c.k <= 10**6 and comb(code.n, code.k) <= 10**5:
-            d = code.minimum_distance(BUDGET)
+            d = enumerated_min_distance(code)
             by_enum = d == code.n - code.k + 1
-            by_subsets = code.mds_by_column_subsets()
+            by_subsets = code._mds_by_column_subsets()
             assert d == code.n - code.k + 1, f"q={c.q} n={code.n} k={code.k}: d={d}"
             assert by_subsets is True
             assert by_enum == by_subsets
@@ -228,7 +234,7 @@ def test_criterion_08_hull_routes_cross_check(grid):
     cells, _ = grid
     for c in covered(cells):
         code = c.report.spec.generator()
-        assert code.hull_dimension() == code.intersection_dim(code.dual())
+        assert code.hull_dimension() == intersection_dim(code, code.dual())
     rng = random.Random(808)
     randoms = 0
     while randoms < 200:
@@ -240,7 +246,7 @@ def test_criterion_08_hull_routes_cross_check(grid):
             code = LinearCode(F, gen)
         except Exception:
             continue
-        assert code.hull_dimension() == code.intersection_dim(code.dual())
+        assert code.hull_dimension() == intersection_dim(code, code.dual())
         randoms += 1
     print(
         "PASS criterion 8: Gram-rank hull equals stacked-rank intersection on all "

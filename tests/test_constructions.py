@@ -112,10 +112,12 @@ def test_divisor_gf7_example():
 def test_divisor_rejections():
     with pytest.raises(ParameterError, match="out of range"):
         construct_divisor(F7, 3, 2)  # k = 2 > floor(3/2)
-    with pytest.raises(ParameterError, match="divide"):
+    with pytest.raises(ParameterError, match="out of range"):
         construct_divisor(F5, 3, 2)
-    with pytest.raises(ParameterError, match="divide"):
+    with pytest.raises(ParameterError, match="out of range"):
         construct_divisor(F7, 1, 2)
+    with pytest.raises(ParameterError, match="DivisorOfQMinus1 needs n divides q - 1"):
+        construct_divisor(F7, 4, 2)
 
 
 def test_divisor_tail_override():
@@ -209,7 +211,7 @@ def test_large_nk_chosen_multipliers_recheck():
 def test_large_nk_rejections():
     with pytest.raises(ParameterError, match="n \\+ k"):
         construct_large_nk(F7, 5, 2)  # 7 < 8
-    with pytest.raises(ParameterError, match="1 < n < q"):
+    with pytest.raises(ParameterError, match="LargeNPlusK needs n < q"):
         construct_large_nk(F7, 7, 3)
 
 
@@ -234,7 +236,7 @@ def test_window_gf11():
 def test_window_rejections():
     with pytest.raises(ParameterError, match="2n - k"):
         construct_window(F7, 6, 2)  # 2n - k = 10 >= 7
-    with pytest.raises(ParameterError, match="1 < n < q"):
+    with pytest.raises(ParameterError, match="Window2n needs n < q"):
         construct_window(F7, 7, 2)
 
 

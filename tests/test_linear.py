@@ -4,27 +4,30 @@ from functools import reduce
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lcdmds
 from conftest import (
     brute_min_distance,
+    enumerated_min_distance,
+    intersection_dim,
     mat_mul_scalar,
     min_distance_by_columns,
     random_full_rank_code,
     rref_scalar,
+    same_row_space,
     subsets_nonsingular_scalar,
 )
 from lcdmds import (
     BudgetExceeded,
     Field,
-    FieldMismatch,
     GrsSpec,
     LinearCode,
     ParameterError,
     field,
-    mat_mul,
     rref,
 )
 from lcdmds import linear
@@ -91,7 +94,10 @@ def test_rref_and_mat_mul_match_scalar_references():
             inner = len(M[0]) if M else 0
             B = [[rng.randrange(F.q) for _ in range(width)] for _ in range(inner)]
             for other in (B, [list(c) for c in zip(*M)]):
-                assert mat_mul(F, M, other) == mat_mul_scalar(F, M, other), (F, M, other)
+                if M and other:
+                    a, b = (np.array(X, dtype=np.int64) for X in (M, other))
+                    product = linear._product(F, a, b).tolist()
+                    assert product == mat_mul_scalar(F, M, other), (F, M, other)
 
 
 def test_generator_must_have_full_rank():
@@ -109,7 +115,7 @@ def test_dual_examples():
     assert line.dual().gen == ((1, 4),)
 
     spec = GrsSpec(F5, (0, 1, 2, 3), (1, 1, 1, 1), 2)
-    assert spec.generator().dual().same_row_space(spec.dual().generator())
+    assert same_row_space(spec.generator().dual(), spec.dual().generator())
 
 
 def test_dual_of_dual_spans_the_code():
@@ -119,7 +125,7 @@ def test_dual_of_dual_spans_the_code():
             n = rng.randint(2, 6)
             k = rng.randint(1, n)
             code = random_full_rank_code(F, n, k, rng)
-            assert code.dual().dual().same_row_space(code)
+            assert same_row_space(code.dual().dual(), code)
 
 
 def test_dual_of_zero_dimensional_code_is_full_space():
@@ -132,17 +138,10 @@ def test_dual_of_zero_dimensional_code_is_full_space():
 
 def test_intersection_examples():
     c = LinearCode(F5, [[1, 0, 2], [0, 1, 3]])
-    assert c.intersection_dim(c) == 2
+    assert intersection_dim(c, c) == 2
     a = LinearCode(F5, [[1, 0]])
     b = LinearCode(F5, [[0, 1]])
-    assert a.intersection_dim(b) == 0
-
-
-def test_intersection_rejects_mismatches():
-    with pytest.raises(FieldMismatch):
-        LinearCode(F5, [[1, 1]]).intersection_dim(LinearCode(field(7), [[1, 1]]))
-    with pytest.raises(ParameterError, match="length"):
-        LinearCode(F5, [[1, 1]]).intersection_dim(LinearCode(F5, [[1, 1, 1]]))
+    assert intersection_dim(a, b) == 0
 
 
 def test_hull_examples():
@@ -187,15 +186,11 @@ def test_elements_are_checked_once_at_the_boundary(monkeypatch):
     assert len(calls) == 5 * 20
     calls.clear()
     code.hull_dimension()
-    code.intersection_dim(code)
-    code.same_row_space(code)
-    code.mds_by_column_subsets()
+    code._mds_by_column_subsets()
     assert calls == []
     # the public functions still check every element they are given
     rref(F, gen)
     assert len(calls) == 5 * 20
-    mat_mul(F, gen, [list(col) for col in zip(*gen)])
-    assert len(calls) == 3 * 5 * 20
 
 
 def test_hull_equals_intersection_oracle():
@@ -206,7 +201,7 @@ def test_hull_equals_intersection_oracle():
         n = rng.randint(2, 7)
         k = rng.randint(1, n)
         code = random_full_rank_code(F, n, k, rng)
-        assert code.hull_dimension() == code.intersection_dim(code.dual())
+        assert code.hull_dimension() == intersection_dim(code, code.dual())
 
 
 def test_hull_of_dual_matches():
@@ -219,10 +214,10 @@ def test_hull_of_dual_matches():
 
 
 def test_minimum_distance_examples():
-    assert LinearCode(F5, [[1, 1, 1]]).minimum_distance() == 3
-    assert LinearCode(F5, [[1, 0], [0, 1]]).minimum_distance() == 1
+    assert enumerated_min_distance(LinearCode(F5, [[1, 1, 1]])) == 3
+    assert enumerated_min_distance(LinearCode(F5, [[1, 0], [0, 1]])) == 1
     grs = GrsSpec(F5, (0, 1, 2, 3), (1, 1, 1, 1), 2).generator()
-    assert grs.minimum_distance() == 3
+    assert enumerated_min_distance(grs) == 3
     assert brute_min_distance(grs) == 3
 
 
@@ -233,7 +228,7 @@ def test_minimum_distance_matches_bruteforce_random():
             n = rng.randint(2, 6)
             k = rng.randint(1, min(3, n))
             code = random_full_rank_code(F, n, k, rng)
-            assert code.minimum_distance() == brute_min_distance(code)
+            assert enumerated_min_distance(code) == brute_min_distance(code)
 
 
 def test_minimum_distance_kernel_cases():
@@ -266,10 +261,10 @@ def test_minimum_distance_kernel_cases():
             rows = [row + (0,) for row in rs]
             rows.insert(r, (0,) * 5 + (1,))
             code = LinearCode(F, rows)
-            assert code.minimum_distance() == 1
+            assert enumerated_min_distance(code) == 1
             codes.append(code)
     for code in codes:
-        d = code.minimum_distance(budget=code.field.q**code.k)
+        d = enumerated_min_distance(code)
         if code.field.q**code.k <= 20_000:
             assert d == brute_min_distance(code), code.gen
         if code.k <= 2:
@@ -302,34 +297,25 @@ def small_codes(draw):
 @given(small_codes())
 def test_minimum_distance_property(case):
     code, r, c = case
-    F, budget = code.field, code.field.q**code.k
-    d = code.minimum_distance(budget=budget)
-    if budget <= 2500:
+    F = code.field
+    d = enumerated_min_distance(code)
+    if F.q**code.k <= 2500:
         assert d == brute_min_distance(code)
     if code.k <= 2:
         assert d == min_distance_by_columns(code)
     # scaling a generator row by a nonzero c changes no codeword's weight
     rows = [list(row) for row in code.gen]
     rows[r] = [F.mul(c, x) for x in rows[r]]
-    assert LinearCode(F, rows).minimum_distance(budget=budget) == d
-
-
-def test_minimum_distance_budget():
-    code = GrsSpec(field(3, 2), tuple(range(9)), (1,) * 9, 4).generator()
-    with pytest.raises(BudgetExceeded):
-        code.minimum_distance(budget=10)
-    with pytest.raises(ParameterError):
-        LinearCode(F5, [], n=2).minimum_distance()
+    assert enumerated_min_distance(LinearCode(F, rows)) == d
 
 
 def test_is_mds_examples():
     grs = GrsSpec(F5, (0, 1, 2, 3), (1, 1, 1, 1), 2).generator()
-    assert grs.is_mds()
-    assert grs.mds_by_column_subsets()
+    assert grs.mds_check() == (True, "enumeration", 3)
+    assert grs._mds_by_column_subsets()
     bad = LinearCode(F5, [[1, 1, 0], [0, 0, 1]])
-    assert bad.minimum_distance() == 1
-    assert not bad.is_mds()
-    assert not bad.mds_by_column_subsets()
+    assert bad.mds_check() == (False, "enumeration", 1)
+    assert not bad._mds_by_column_subsets()
 
 
 def test_mds_routes_agree():
@@ -339,8 +325,8 @@ def test_mds_routes_agree():
         n = rng.randint(3, 7)
         k = rng.randint(2, n - 1)
         code = random_full_rank_code(F, n, k, rng)
-        enum_verdict = code.minimum_distance() == n - k + 1
-        assert enum_verdict == code.mds_by_column_subsets()
+        enum_verdict = enumerated_min_distance(code) == n - k + 1
+        assert enum_verdict == code._mds_by_column_subsets()
         assert enum_verdict == subsets_nonsingular_scalar(code)
 
     # The batched kernel against the scalar reference, and against
@@ -372,10 +358,10 @@ def test_mds_routes_agree():
     codes += [LinearCode(F5, [[1] * n]), LinearCode(F5, [[1] * (n - 1) + [0]])]
     verdicts = set()
     for code in codes:
-        verdict = code.mds_by_column_subsets()
+        verdict = code._mds_by_column_subsets()
         assert verdict == subsets_nonsingular_scalar(code)
         if code.field.q**code.k <= 20_000:
-            assert verdict == (code.minimum_distance() == code.n - code.k + 1)
+            assert verdict == (enumerated_min_distance(code) == code.n - code.k + 1)
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
@@ -432,7 +418,7 @@ def test_subset_kernel_matches_scalar_reference(code):
     expected = subsets_nonsingular_scalar(code)
     for entries in (SUBSET_BATCH_ENTRIES, 1):
         with mock.patch.object(linear, "SUBSET_BATCH_ENTRIES", entries):
-            assert code.mds_by_column_subsets() == expected
+            assert code._mds_by_column_subsets() == expected
 
 
 def _one_singular_subset(F, n, k, last, coeffs):
@@ -476,7 +462,7 @@ def test_subset_kernel_last_subset_and_chunk_splits():
         # and 37 split one column's extensions across chunks
         for entries in (SUBSET_BATCH_ENTRIES, 100, 37, 1):
             with mock.patch.object(linear, "SUBSET_BATCH_ENTRIES", entries):
-                assert code.mds_by_column_subsets() == expected, (code, entries)
+                assert code._mds_by_column_subsets() == expected, (code, entries)
         verdicts.append(expected)
     assert verdicts[:9] == [False] * 5 + [True] * 4 and not any(verdicts[9:])
 
@@ -506,7 +492,7 @@ def test_subset_kernel_carries_only_live_columns(monkeypatch):
     for entries, most in ((1, least), (SUBSET_BATCH_ENTRIES, 1.5 * least)):
         updated.clear()
         with mock.patch.object(linear, "SUBSET_BATCH_ENTRIES", entries):
-            assert code.mds_by_column_subsets()
+            assert code._mds_by_column_subsets()
         assert least <= sum(updated) <= most, (entries, sum(updated), least)
 
 
@@ -552,15 +538,23 @@ def test_mds_route_and_budget_message():
         mds_route(9, 9, 0, 10**6)
 
 
-def test_minimum_distance_budget_message_is_short():
+def test_mds_check_is_the_one_budget_gate():
     F = field(3, 7)
     code = LinearCode(F, [[int(i == j) for j in range(4)] + [1, i + 2] for i in range(4)])
-    # budget 10: neither route fits; budget 100: C(6, 4) = 15 fits, enumeration does not
-    for budget, where in ((10, "MDS check"), (100, "minimum distance")):
-        with pytest.raises(BudgetExceeded, match=where) as exc:
-            code.minimum_distance(budget)
-        assert "2187^4 (~2.3e13)" in str(exc.value)
-        assert not re.search(r"\d{13}", str(exc.value))
+    # budget 100: C(6, 4) = 15 column subsets fit, 2187^4 codewords do not
+    ok, route, dist = code.mds_check(100)
+    assert (route, dist) == ("column_subsets", None)
+    assert ok == subsets_nonsingular_scalar(code)
+    # budget 10: neither route fits, and the amounts are written short
+    with pytest.raises(BudgetExceeded, match="MDS check") as exc:
+        code.mds_check(10)
+    assert "2187^4 (~2.3e13)" in str(exc.value)
+    assert not re.search(r"\d{13}", str(exc.value))
+    # k = 0 is refused by the same gate, before either route kernel runs
+    with pytest.raises(ParameterError, match="zero-dimensional"):
+        LinearCode(F5, [], n=2).mds_check()
+    for name in lcdmds.__all__:
+        assert hasattr(lcdmds, name), name
 
 
 def test_code_serialization_roundtrip():
