@@ -142,7 +142,7 @@ def _load_code(path: str) -> LinearCode:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParameterError(f"cannot read code file {path!r}: {exc}")
     try:
         return LinearCode.from_dict(data)

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .errors import NoConstructionApplies, ParameterError, TheoremViolation
 from .fields import Field
-from .grs import GrsSpec, dual_multipliers
+from .grs import GrsSpec, difference_products, dual_multipliers
 from .linear import DEFAULT_BUDGET, mds_route
 
 THEOREM_EXTENDED = "ExtendedQPlus1"
@@ -180,20 +180,13 @@ def construct_large_nk(F: Field, n: int, k: int, permutation=None) -> Constructi
     locators = labeling[:n]
     excluded = labeling[n:]
     u = dual_multipliers(F, locators)
-    mul, sub, neg = F.mul, F.sub, F.neg
     v = [1] * n
     chosen = []
-    for i in range(q - k, n):
-        prod = 1
-        for x in excluded:
-            prod = mul(prod, sub(locators[i], x))
-        c = next(
-            (c for c in range(1, q) if neg(mul(mul(c, c), prod)) != u[i]), None
-        )
+    prods = difference_products(F, locators[q - k :], excluded).tolist()
+    for i, prod in enumerate(prods, q - k):
+        c = next((c for c in range(1, q) if F.neg(F.mul(F.mul(c, c), prod)) != u[i]), None)
         if c is None:
-            raise TheoremViolation(
-                f"no valid multiplier exists for coordinate {i + 1}"
-            )
+            raise TheoremViolation(f"no valid multiplier exists for coordinate {i + 1}")
         v[i] = c
         chosen.append([i + 1, c])
     spec = GrsSpec(F, locators, tuple(v), k)
@@ -212,14 +205,8 @@ def construct_window(F: Field, n: int, k: int, permutation=None) -> Construction
     labeling = _labeling(F, permutation)
     locators = labeling[:n]
     window = labeling[n : n + (n - k)]
-    mul, sub = F.mul, F.sub
-    v = []
-    for a in locators:
-        prod = 1
-        for x in window:
-            prod = mul(prod, sub(a, x))
-        v.append(prod)
-    spec = GrsSpec(F, locators, tuple(v), k)
+    v = tuple(difference_products(F, locators, window).tolist())
+    spec = GrsSpec(F, locators, v, k)
     params = {"excluded": list(labeling[n:]), "window": list(window)}
     return ConstructionReport(THEOREM_WINDOW, spec, params)
 

@@ -19,7 +19,8 @@ elements: multiplying by c maps digit rows through an e x e matrix over GF(p),
 so the rows of g^0 .. g^(m-1) times the matrix of g^m are those of g^m ..
 g^(2m-1), and doubling m makes exp in about log2(q) products. Candidates for
 g are tested in blocks by squaring their matrices. Log is one scatter into
-exp, the inverses one gather.
+exp, the inverses one gather. The modulus search runs on the same matrices:
+is_irreducible is Rabin's test, made of powers in GF(p)[X]/(f).
 
 FieldArrays applies the same arithmetic element-wise to numpy arrays of
 element indices, for kernels that work on many matrices at once. It holds
@@ -66,80 +67,56 @@ def json_int(value, name: str) -> int:
     return value
 
 
-# ---------- polynomial arithmetic over GF(p) for the modulus search ----------
-# Coefficient lists, low degree first, trailing zeros trimmed.
+# ---------- arithmetic modulo a monic f over GF(p) ----------
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _times_modulo(modulus, p: int):
+    """Multiplication in GF(p)[X]/(f), f = modulus monic of degree e, on digit rows.
+
+    Returns (times, x): times(c) stacks the e x e matrices over GF(p) of
+    multiplication by the rows c, row j being c X^j, so that a c is the row
+    a @ times(c) % p; x is the row of X.
+    """
+    e = len(modulus) - 1
+    xpow = np.eye(2 * e, e, dtype=np.int64)  # the rows of X^t, t < 2e
+    for t in range(e, 2 * e):
+        xpow[t, 1:] = xpow[t - 1, :-1]
+        xpow[t] = (xpow[t] - xpow[t - 1, -1] * np.array(modulus[:e])) % p
+    hankel = xpow[np.arange(e)[:, None] + np.arange(e)].reshape(e, e * e)
+
+    def times(rows):
+        return (rows @ hankel % p).reshape(np.shape(rows)[:-1] + (e, e))
+
+    return times, xpow[1]
 
 
-def _mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    e = len(mod) - 1
-    for i in range(len(out) - 1, e - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(e):
-                out[i - e + j] = (out[i - e + j] - c * mod[j]) % p
-    return _trim(out[:e])
+def is_irreducible(coeffs, p: int) -> bool:
+    """Whether a monic polynomial f of degree e over GF(p) is irreducible.
 
-
-def _powmod(a: list[int], m: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = list(a)
-    while m:
-        if m & 1:
-            result = _mulmod(result, base, mod, p)
-        base = _mulmod(base, base, mod, p)
-        m >>= 1
-    return result
-
-
-def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        # a mod b, b monic-normalized first
-        lead_inv = pow(b[-1], p - 2, p)
-        b = [(c * lead_inv) % p for c in b]
-        while len(a) >= len(b) and a:
-            c = a[-1]
-            shift = len(a) - len(b)
-            for j in range(len(b)):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-            _trim(a)
-        a, b = b, a
-    return a
-
-
-def is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Whether a monic polynomial over GF(p) is irreducible.
-
-    Checks that gcd(f, X^(p^d) - X) is constant for every d up to deg(f)/2,
-    i.e. f has no irreducible factor of degree <= deg(f)/2.
+    Rabin's test (SIAM J. Comput. 9(2), 1980) on the multiplication matrices
+    of GF(p)[X]/(f): X^(p^e) = X, and for each prime r | e, X^(p^(e/r)) - X
+    is a unit, i.e. its (p^e - 1)-th power is 1. The first condition makes f
+    square-free with factors of degrees dividing e, so every unit passes.
     """
     e = len(coeffs) - 1
     if e < 1 or coeffs[-1] != 1:
         return False
-    t = [0, 1]  # X
-    for _ in range(e // 2):
-        t = _powmod(t, p, coeffs, p)
-        diff = list(t) + [0] * max(0, 2 - len(t))
-        diff[1] = (diff[1] - 1) % p
-        g = _gcd(list(coeffs), _trim(diff), p)
-        if len(g) > 1:
-            return False
-    return True
+    times, x = _times_modulo(coeffs, p)
+    one = np.eye(1, e, dtype=np.int64)[0]
+
+    def power(row, m):
+        out, step = one, times(row)
+        while m:
+            if m & 1:
+                out = out @ step % p
+            step, m = step @ step % p, m >> 1
+        return out
+
+    frobenius = [x]  # X^(p^j), j = 0..e
+    for _ in range(e):
+        frobenius.append(power(frobenius[-1], p))
+    powers = (power((frobenius[e // r] - x) % p, p**e - 1) for r in prime_factors(e))
+    return (frobenius[e] == x).all() and all((y == one).all() for y in powers)
 
 
 @lru_cache(maxsize=None)
@@ -196,17 +173,7 @@ class Field:
         q1 = q - 1
         weights = p ** np.arange(e, dtype=np.int64)
         digits = self._digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
-        # The matrix of multiplication by c has row j = c x^j = sum_i c_i x^(i + j);
-        # with xpow[t] = x^t mod the modulus, times() builds a stack of them.
-        xpow = np.eye(2 * e - 1, e, dtype=np.int64)
-        for t in range(e, 2 * e - 1):
-            xpow[t, 1:] = xpow[t - 1, :-1]
-            xpow[t] = (xpow[t] - xpow[t - 1, -1] * np.array(self.modulus[:e])) % p
-        hankel = xpow[np.arange(e)[:, None] + np.arange(e)].reshape(e, e * e)
-
-        def times(cs):
-            return (digits[cs] @ hankel % p).reshape(np.shape(cs) + (e, e))
-
+        times = _times_modulo(self.modulus, p)[0]
         # The first g with g^((q - 1)/r) != 1 for each prime r | q - 1, tested on
         # blocks that double in size; for e >= 2 the prime subfield has none.
         radicals = np.array([q1 // r for r in prime_factors(q1)], dtype=np.int64)
@@ -214,7 +181,7 @@ class Field:
         start, size, found = (1 if e == 1 else p), 8, ()
         while len(found) == 0:
             cs = np.arange(start, min(start + size, q))
-            base = times(cs)  # squared each bit: the matrices of cs^(2^bit)
+            base = times(digits[cs])  # squared each bit: the matrices of cs^(2^bit)
             acc = digits[[1]]  # grows into the rows of cs^(m mod 2^bit) for each radical m
             for hit in bits:
                 acc = np.where(hit, acc @ base % p, acc)
@@ -222,7 +189,7 @@ class Field:
             found = np.flatnonzero((acc[:, :, 0] @ weights != 1).all(axis=0))
             start, size = start + size, 2 * size
         g = self.primitive_element = int(cs[found[0]])
-        rows, step, m = np.empty((q1, e), dtype=np.int64), times(g), 1
+        rows, step, m = np.empty((q1, e), dtype=np.int64), times(digits[g]), 1
         rows[0] = digits[1]
         while m < q1:
             rows[m : 2 * m] = rows[: min(m, q1 - m)] @ step % p
@@ -264,7 +231,7 @@ class Field:
     def from_coeffs(self, coeffs) -> int:
         v = 0
         for c in reversed(list(coeffs)):
-            v = v * self.p + c % self.p
+            v = v * self.p + json_int(c, "coefficient") % self.p
         if v >= self.q:
             raise ParameterError("coefficient vector too long for this field")
         return v
@@ -384,6 +351,8 @@ class FieldArrays:
     Prime fields compute modulo p. Extension fields use the field's own
     tables as arrays: exp/log for products, and the Zech table with the
     negation table for differences; zero operands are fixed up with where().
+    Every field keeps exp and log, so a product of many nonzero factors is a
+    sum of their logs mod q1 = q - 1 and one exp lookup (grs.difference_products).
     digits[a] holds the e base-p digits of element a, in the narrowest
     unsigned type that also holds a sum of two digits.
     """
@@ -395,8 +364,6 @@ class FieldArrays:
         self.prime = e == 1
         self.inv_table = inv
         self.digits = digits.astype(np.min_scalar_type(2 * (p - 1)))
-        if self.prime:
-            return
         self.q1 = len(log) - 1
         self.exp, self.log, self.zech, self.neg = exp, log, zech, neg
 

@@ -12,6 +12,10 @@ of a codeword in the dual can be decided without any linear algebra by
 interpolating a witness polynomial and testing its degree; in_dual implements
 that route, independent of the null-space machinery in linear.py.
 
+Every multiplier the constructions need, the u_i above among them, is a
+product of differences of locators; difference_products computes each one
+as a sum of logs on the field's tables.
+
 Locators, multipliers and messages are checked when a GrsSpec or Poly is
 made, so the dual multipliers and the point lists of codeword and in_dual
 are computed unchecked on the field's tables.
@@ -20,7 +24,7 @@ are computed unchecked on the field's tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -30,17 +34,18 @@ from .linear import LinearCode
 from .poly import Poly, interpolate
 
 
-@lru_cache(maxsize=65536)
-def _dual_multipliers_cached(F: Field, locators: tuple[int, ...]) -> tuple[int, ...]:
-    mul, sub, inv = F._mul, F._sub, F._inv
-    out = []
-    for i, ai in enumerate(locators):
-        prod = 1
-        for j, aj in enumerate(locators):
-            if j != i:
-                prod = mul(prod, sub(ai, aj))
-        out.append(inv[prod])
-    return tuple(out)
+def difference_products(F: Field, points, others) -> np.ndarray:
+    """For each point a, the product of (a - x) over the x in others with x != a.
+
+    One FieldArrays.sub makes every difference; each product is a row sum of
+    their logs mod q - 1 and one exp lookup, in which the x = a terms drop out
+    with no mask, as log 0 = 2(q - 1). The caller checks the elements.
+    """
+    arrays = F.arrays
+    a = np.array(points, dtype=np.int64)[:, None]
+    x = np.array(others, dtype=np.int64)[None, :]
+    logs = arrays.log[arrays.sub(a, x)]
+    return arrays.exp[logs.sum(axis=1) % arrays.q1]
 
 
 def dual_multipliers(F: Field, locators) -> tuple[int, ...]:
@@ -54,7 +59,7 @@ def dual_multipliers(F: Field, locators) -> tuple[int, ...]:
     locs = tuple(F.check(a) for a in locators)
     if len(set(locs)) != len(locs):
         raise ParameterError("duplicate locator")
-    return _dual_multipliers_cached(F, locs)
+    return tuple(F.arrays.inv(difference_products(F, locs, locs)).tolist())
 
 
 @dataclass(frozen=True)

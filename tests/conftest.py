@@ -277,3 +277,37 @@ def field_tables_scalar(p, e, modulus):
         "_neg": [index([-d for d in digits(a)]) for a in range(q)],
         "_inv": [0] + [exp[-log[a] % q1] for a in range(1, q)],
     }
+
+
+def difference_products_scalar(F, points, others):
+    """The product of (a - x) over the x in others with x != a, for each point
+    a, one Field op at a time: the reference for grs.difference_products."""
+    out = []
+    for a in points:
+        prod = 1
+        for x in others:
+            if x != a:
+                prod = F.mul(prod, F.sub(a, x))
+        out.append(prod)
+    return out
+
+
+def poly_remainder(f, g, p):
+    """f mod g over GF(p) for a monic g, coefficient lists low degree first."""
+    r, d = list(f), len(g) - 1
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i]
+        for j, gj in enumerate(g):
+            r[i - d + j] = (r[i - d + j] - c * gj) % p
+    return r[:d]
+
+
+def is_irreducible_by_trial_division(coeffs, p):
+    """Whether a monic f over GF(p) has no monic factor of degree 1..deg(f)/2,
+    by dividing by each one: the reference for fields.is_irreducible."""
+    e = len(coeffs) - 1
+    return all(
+        any(poly_remainder(coeffs, list(low) + [1], p))
+        for d in range(1, e // 2 + 1)
+        for low in product(range(p), repeat=d)
+    )

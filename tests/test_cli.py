@@ -1,8 +1,12 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcdmds.cli import build_parser, main
 
@@ -132,6 +136,12 @@ def test_verify_malformed_input_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(path3))
     assert rc == 2 and "cannot read code file" in err
 
+    # nesting past the recursion limit, and an integer past int()'s digit limit
+    for name, text in (("nested.json", "[" * 100_000), ("digits.json", "[" + "7" * 5000 + "]")):
+        (tmp_path / name).write_text(text)
+        rc, _, err = run(capsys, "verify", str(tmp_path / name))
+        assert rc == 2 and "cannot read code file" in err and "Traceback" not in err
+
     # n, p, e and the modulus must be JSON integers, not values int() would
     # truncate or coerce; [[1, 2]] over GF(5) is a valid code that is not LCD
     for record, n in (
@@ -147,6 +157,44 @@ def test_verify_malformed_input_exit_2(capsys, tmp_path):
         assert rc == 2 and "must be an integer" in err and "Traceback" not in err
     path4.write_text(json.dumps({"field": {"p": 5, "e": 1}, "n": 2, "generator": [[1, 2]]}))
     assert run(capsys, "verify", str(path4))[0] == 1
+
+
+# Any JSON value, with integers small enough that a field they name stays small
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+GENERATORS = st.tuples(st.integers(1, 3), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(0, 4), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    p=st.sampled_from([5, 7]),
+    e=st.integers(1, 2),
+    generator=GENERATORS,
+    key=st.sampled_from([None, "field", "generator", "n", "p", "e", "modulus"]),
+    value=JSON_VALUES,
+)
+def test_verify_fuzzed_records_exit_with_a_documented_code(
+    tmp_path_factory, p, e, generator, key, value
+):
+    # a valid record with at most one entry replaced by an arbitrary JSON value
+    record = {"field": {"p": p, "e": e}, "generator": generator}
+    if key in ("p", "e", "modulus"):
+        record["field"][key] = value
+    elif key is not None:
+        record[key] = value
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(record))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["verify", str(path)]) in (0, 1, 2, 5)
 
 
 def test_verify_huge_field_exits_2_at_once(capsys, tmp_path):

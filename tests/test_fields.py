@@ -5,7 +5,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import digit_add, digit_neg, field_tables_scalar, multiplicative_order_brute
+from conftest import (
+    digit_add,
+    digit_neg,
+    field_tables_scalar,
+    is_irreducible_by_trial_division,
+    multiplicative_order_brute,
+)
 from lcdmds import Field, GrsSpec, LinearCode, ParameterError, field, field_from_order, fields
 from lcdmds.fields import find_modulus, is_irreducible, is_prime, prime_factors
 
@@ -49,9 +55,20 @@ def test_find_modulus_matches_a_full_scan():
             first = next(
                 low + (1,)
                 for low in product(range(p), repeat=e)
-                if is_irreducible(list(low) + [1], p)
+                if is_irreducible_by_trial_division(list(low) + [1], p)
             )
             assert find_modulus(p, e) == first, (p, e)
+
+
+def test_is_irreducible_matches_trial_division():
+    # every monic polynomial of each degree e with p^e <= 729: 3,293 in all
+    for p in (2, 3, 5, 7):
+        for e in range(1, 10):
+            if p**e > 729:
+                break
+            for low in product(range(p), repeat=e):
+                f = list(low) + [1]
+                assert is_irreducible(f, p) == is_irreducible_by_trial_division(f, p), (f, p)
 
 
 def test_from_dict_reuses_the_shared_field():
@@ -204,6 +221,14 @@ def test_canonical_element_order():
         assert elems[0] == 0
         for x in elems:
             assert F.from_coeffs(F.coeffs(x)) == x
+
+
+def test_from_coeffs_takes_integers_only():
+    assert field(5).from_coeffs([7]) == 2  # ints still reduce mod p
+    assert field(3, 2).from_coeffs([-1, 4]) == 5
+    for F, coeffs in ((field(5), [1.5]), (field(3, 2), [2.5, 1]), (field(3, 2), [1, True])):
+        with pytest.raises(ParameterError, match="coefficient must be an integer"):
+            F.from_coeffs(coeffs)
 
 
 def test_coeffs_encoding_is_base_p():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import lcdmds.grs
 from conftest import (
+    difference_products_scalar,
     dot,
     enumerated_min_distance,
     in_dual_direct,
@@ -23,6 +24,7 @@ from lcdmds import (
     field,
     field_from_order,
 )
+from lcdmds.grs import difference_products
 
 F5 = field(5)
 
@@ -123,9 +125,29 @@ def test_dual_multipliers_examples():
     assert dual_multipliers(F5, (0, 1, 2)) == (3, 4, 3)
     with pytest.raises(ParameterError, match="duplicate"):
         dual_multipliers(F5, (1, 1))
-    for bad in (5, -1, True):  # the product loop runs unchecked
+    for bad in (5, -1, True):  # the product kernel runs unchecked
         with pytest.raises(ParameterError, match="element index"):
             dual_multipliers(F5, (0, bad))
+
+
+@pytest.mark.parametrize("p, e", [(5, 1), (13, 1), (3, 2), (5, 2), (3, 3), (3, 5)])
+def test_difference_products_match_scalar_reference(p, e):
+    F = field(p, e)
+    rng = random.Random(p * 100 + e)
+    elements = list(F.elements())
+    cases = [(elements, elements), (elements[:4], [])]  # n = q, and an empty product
+    for _ in range(8):
+        shuffled = rng.sample(elements, F.q)
+        n = rng.randint(1, min(F.q, 40))
+        # one point set with itself, as dual_multipliers takes it, and one
+        # with disjoint others, as the window and large-nk builders take them
+        cases.append((shuffled[:n], shuffled[:n]))
+        cases.append((shuffled[:n], shuffled[n : n + rng.randint(0, F.q - n)]))
+    for points, others in cases:
+        expected = difference_products_scalar(F, points, others)
+        assert difference_products(F, points, others).tolist() == expected
+        if points == others:
+            assert dual_multipliers(F, points) == tuple(map(F.inv, expected))
 
 
 def test_dual_multipliers_all_elements_constant():
