@@ -36,7 +36,7 @@ from .errors import (
     ParameterError,
     TheoremViolation,
 )
-from .fields import Field, checked_order, field, prime_power
+from .fields import Field, field, prime_power
 from .linear import DEFAULT_BUDGET, LinearCode
 
 BUDGET_ENV = "LCDMDS_BUDGET"
@@ -58,19 +58,6 @@ def _int_list(text: str) -> list[int]:
         return [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _field_order(args) -> tuple[int, int]:
-    """(p, e) of --q or --p/--e, checked as Field checks them; builds no tables."""
-    if args.q is not None:
-        if args.p is not None or args.e is not None:
-            raise ParameterError("give either --q or --p/--e, not both")
-        return prime_power(args.q)
-    if args.p is None:
-        raise ParameterError("a field is required: --q Q or --p P [--e E]")
-    e = args.e if args.e is not None else 1
-    checked_order(args.p, e)
-    return args.p, e
 
 
 def _default_budget() -> int:
@@ -99,7 +86,7 @@ THEOREM_BY_FLAG = {family.flag: family.tag for family in FAMILIES}
 
 
 def cmd_construct(args) -> int:
-    p, e = _field_order(args)
+    p, e = prime_power(args.q)
     require_construction_field(p, p**e)  # before the tables are built
     F = field(p, e)
     tail = args.tail
@@ -197,7 +184,7 @@ def _sweep_cell(F: Field, n: int, k: int, budget: int):
 
 
 def cmd_sweep(args) -> int:
-    p, e = _field_order(args)
+    p, e = prime_power(args.q)
     require_construction_field(p, p**e)
     F = field(p, e)
     n_max = args.n_max if args.n_max is not None else F.q + 1
@@ -255,7 +242,7 @@ def _sweep(F: Field, n_max: int, budget: int, out) -> int:
 
 
 def cmd_info(args) -> int:
-    F = field(*_field_order(args))
+    F = field(*prime_power(args.q))
     info = {
         "p": F.p,
         "e": F.e,
@@ -275,12 +262,6 @@ def cmd_info(args) -> int:
 # ---------- plumbing ----------
 
 
-def _add_field_args(sub):
-    sub.add_argument("--q", type=int, help="field order (prime power)")
-    sub.add_argument("--p", type=int, help="characteristic (with --e)")
-    sub.add_argument("--e", type=int, help="extension degree (default 1)")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every main call."""
@@ -290,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
         "generalized Reed-Solomon codes over odd-characteristic fields.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(subs.add_parser, allow_abbrev=False)  # no --perm for --permutation
 
-    c = subs.add_parser("construct", help="build one code and print its report")
-    _add_field_args(c)
+    c = add("construct", help="build one code and print its report")
+    c.add_argument("--q", type=int, required=True, help="field order (prime power)")
     c.add_argument("--n", type=int, required=True, help="code length")
     c.add_argument("--k", type=int, required=True, help="code dimension")
     c.add_argument(
@@ -317,20 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=["json", "text"], default="json")
     c.set_defaults(func=cmd_construct)
 
-    v = subs.add_parser("verify", help="check a generator matrix file for LCD and MDS")
+    v = add("verify", help="check a generator matrix file for LCD and MDS")
     v.add_argument("input", help="JSON file with 'field' and 'generator' ('-' for stdin)")
     v.add_argument("--budget", type=int, help="verification work budget")
     v.set_defaults(func=cmd_verify)
 
-    s = subs.add_parser("sweep", help="run every admissible (n, k) for one field")
-    _add_field_args(s)
+    s = add("sweep", help="run every admissible (n, k) for one field")
+    s.add_argument("--q", type=int, required=True, help="field order (prime power)")
     s.add_argument("--n-max", type=int, help="largest length to try (default q + 1)")
     s.add_argument("--budget", type=int, help="verification work budget per cell")
     s.add_argument("--output", help="write the JSON result here instead of stdout")
     s.set_defaults(func=cmd_sweep)
 
-    i = subs.add_parser("info", help="describe a field and the covered families")
-    _add_field_args(i)
+    i = add("info", help="describe a field and the covered families")
+    i.add_argument("--q", type=int, required=True, help="field order (prime power)")
     i.add_argument("--n", type=int, help="with --k: list conditions matching (n, k)")
     i.add_argument("--k", type=int)
     i.set_defaults(func=cmd_info)

@@ -161,7 +161,7 @@ class Field:
         if modulus is None:
             self.modulus = find_modulus(p, e)
         else:
-            self.modulus = tuple(int(c) % p for c in modulus)
+            self.modulus = tuple(json_int(c, "modulus") % p for c in modulus)
             if len(self.modulus) != e + 1 or self.modulus[-1] != 1:
                 raise ParameterError(f"modulus must be monic of degree {e}")
             if not is_irreducible(list(self.modulus), p):

@@ -6,11 +6,16 @@ elements, nonzero multipliers v = (v_1..v_n) and a dimension k. Codewords are
 specs take the locators to be all q field elements and append the coefficient
 of X^(k-1) as an extra coordinate, giving length q + 1.
 
-The dual of a non-extended spec is again a GRS spec on the same locators with
-multipliers u_i / v_i, where u_i = prod_{j != i} (a_i - a_j)^(-1). Membership
-of a codeword in the dual can be decided without any linear algebra by
-interpolating a witness polynomial and testing its degree; in_dual implements
-that route, independent of the null-space machinery in linear.py.
+The dual of a spec of length m and dimension k is again a spec on the same
+locators, of dimension m - k, with multipliers v_i / s_i and the same
+extended flag. The scale is s_i = v_i^2 / u_i, where u_i = prod_{j != i}
+(a_i - a_j)^(-1) for a plain spec and u_i = 1 for an extended one: there the
+locators are all of GF(q), and the sum of a^t over a in GF(q) is 0 for
+t < q - 1 and -1 for t = q - 1, which the extra coordinate cancels.
+Membership of a codeword in the dual can be decided without any linear
+algebra by interpolating a witness polynomial through the scaled values and
+testing its degree; in_dual implements that route, independent of the
+null-space machinery in linear.py.
 
 Every multiplier the constructions need, the u_i above among them, is a
 product of differences of locators; difference_products computes each one
@@ -118,59 +123,47 @@ class GrsSpec:
             rows[-1, -1] = 1
         return LinearCode(F, rows.tolist())
 
-    def codeword(self, f: Poly) -> tuple[int, ...]:
-        """(v_1 f(a_1), ..., v_n f(a_n)), plus f_(k-1) when extended."""
+    def _scaled_values(self, f: Poly, scale) -> list[int]:
+        """(s_1 f(a_1), ..., s_n f(a_n)) for a message f of degree < k."""
         F = self.field
         if f.field != F:
             raise FieldMismatch(f"{f.field!r} vs {F!r}")
         if f.degree > self.k - 1:
             raise ParameterError(f"message degree {f.degree} exceeds k - 1 = {self.k - 1}")
-        word = [F._mul(v, f.eval(a)) for v, a in zip(self.multipliers, self.locators)]
+        return [F._mul(s, f.eval(a)) for s, a in zip(scale, self.locators)]
+
+    def codeword(self, f: Poly) -> tuple[int, ...]:
+        """(v_1 f(a_1), ..., v_n f(a_n)), plus f_(k-1) when extended."""
+        word = self._scaled_values(f, self.multipliers)
         if self.extended:
             word.append(f.coeff(self.k - 1))
         return tuple(word)
 
     def dual(self) -> "GrsSpec":
-        """Dual spec: same locators, dimension n - k, multipliers u_i / v_i."""
-        if self.extended:
-            raise ParameterError(
-                "extended specs have no GRS-shaped dual here; use generator().dual()"
-            )
-        if self.k >= self.n:
+        """Dual spec: same locators and kind, dimension length - k, multipliers v_i / s_i."""
+        if self.k >= self.length:
             raise ParameterError("dual of a full-space spec is zero-dimensional")
         F = self.field
-        u = dual_multipliers(F, self.locators)
-        vprime = tuple(F.div(ui, vi) for ui, vi in zip(u, self.multipliers))
-        return GrsSpec(F, self.locators, vprime, self.n - self.k, extended=False)
+        vprime = tuple(F.div(v, s) for v, s in zip(self.multipliers, self._dual_scale))
+        return GrsSpec(F, self.locators, vprime, self.length - self.k, self.extended)
 
     def in_dual(self, f: Poly) -> bool:
         """Whether the codeword of f lies in the dual of this code.
 
-        Non-extended: interpolate g through (a_i, v_i^2 f(a_i) / u_i) and
-        test deg g <= n - k - 1. Extended: interpolate g through
-        (a_i, v_i^2 f(a_i)) over all q elements and test deg g <= q - k with
-        the coefficient of X^(q-k) in g equal to that of X^(k-1) in f.
+        With d = length - k, interpolate g through (a_i, s_i f(a_i)) and test
+        deg g < d; when extended, also g_(d-1) = f_(k-1).
         """
-        F = self.field
-        if f.field != F:
-            raise FieldMismatch(f"{f.field!r} vs {F!r}")
-        if f.degree > self.k - 1:
-            raise ParameterError(f"message degree {f.degree} exceeds k - 1 = {self.k - 1}")
-        points = [(a, F._mul(s, f.eval(a))) for s, a in zip(self._dual_scale, self.locators)]
-        g = interpolate(F, points)
-        if self.extended:
-            return g.degree <= F.q - self.k and g.coeff(F.q - self.k) == f.coeff(self.k - 1)
-        return g.degree <= self.n - self.k - 1
+        d = self.length - self.k
+        values = self._scaled_values(f, self._dual_scale)
+        g = interpolate(self.field, list(zip(self.locators, values)))
+        return g.degree < d and (not self.extended or g.coeff(d - 1) == f.coeff(self.k - 1))
 
     @cached_property
     def _dual_scale(self) -> tuple[int, ...]:
-        """in_dual's per-locator scale: v_i^2 / u_i, or v_i^2 when extended."""
+        """s_i = v_i^2 / u_i, with u_i = 1 when extended."""
         F = self.field
-        vsq = [F.mul(v, v) for v in self.multipliers]
-        if self.extended:
-            return tuple(vsq)
-        u = dual_multipliers(F, self.locators)
-        return tuple(F.div(w, ui) for w, ui in zip(vsq, u))
+        u = (1,) * self.n if self.extended else dual_multipliers(F, self.locators)
+        return tuple(F.div(F.mul(v, v), ui) for v, ui in zip(self.multipliers, u))
 
     def to_dict(self) -> dict:
         return {

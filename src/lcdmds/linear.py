@@ -85,11 +85,13 @@ def rref(field: Field, rows):
     M = _matrix(field, rows)
     if not M:
         return (), 0, ()
-    return _rref(field, np.array(M, dtype=np.int64))
+    R, pivots = _rref(field, np.array(M, dtype=np.int64))
+    return tuple(map(tuple, R.tolist())), len(pivots), pivots
 
 
 def _rref(field: Field, A):
-    """rref of a checked (rows, columns) int64 array, which it overwrites."""
+    """(rref array, pivot columns) of a checked (rows, columns) int64 array,
+    which it overwrites."""
     arrays = field.arrays
     pivots = []
     for c in range(A.shape[1]):
@@ -106,7 +108,7 @@ def _rref(field: Field, A):
         A = arrays.sub(A, arrays.mul(A[:, c : c + 1], pivot_row))
         A[r] = pivot_row
         pivots.append(c)
-    return tuple(map(tuple, A.tolist())), len(pivots), tuple(pivots)
+    return A, tuple(pivots)
 
 
 def _product(field: Field, a, b):
@@ -153,8 +155,8 @@ class LinearCode:
             raise ParameterError("code length must be positive")
         if len(M) > length:
             raise ParameterError("more generator rows than the length allows")
-        _, rank, _ = _rref(field, np.array(M, dtype=np.int64).reshape(len(M), length))
-        if rank != len(M):
+        _, pivots = _rref(field, np.array(M, dtype=np.int64).reshape(len(M), length))
+        if len(pivots) != len(M):
             raise ParameterError("generator rows are linearly dependent")
         self.field = field
         self.gen = tuple(tuple(row) for row in M)
@@ -171,23 +173,20 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         """The dual code under the standard inner product, in RREF."""
         F = self.field
-        R, _, pivots = _rref(F, self._array())
-        rows = []
-        for f in (j for j in range(self.n) if j not in pivots):
-            w = [0] * self.n
-            w[f] = 1
-            for r, pc in enumerate(pivots):
-                w[pc] = F.neg(R[r][f])
-            rows.append(w)
-        if not rows:
+        R, pivots = _rref(F, self._array())
+        free = np.setdiff1d(np.arange(self.n), pivots)
+        if not free.size:
             return LinearCode(F, [], n=self.n)
-        return LinearCode(F, _rref(F, np.array(rows, dtype=np.int64))[0])  # rows are independent
+        # one row per free column f: 1 at f and -R[r, f] at the pivot column of row r
+        rows = np.zeros((free.size, self.n), dtype=np.int64)
+        rows[np.arange(free.size), free] = 1
+        rows[:, list(pivots)] = F.arrays.neg[R[:, free]].T
+        return LinearCode(F, _rref(F, rows)[0].tolist())  # rows are independent
 
     def hull_dimension(self) -> int:
         """dim(C and C-dual) = k - rank(G Gt)."""
         G = self._array()
-        _, rank, _ = _rref(self.field, _product(self.field, G, G.T))
-        return self.k - rank
+        return self.k - len(_rref(self.field, _product(self.field, G, G.T))[1])
 
     def is_lcd(self) -> bool:
         return self.hull_dimension() == 0

@@ -64,8 +64,13 @@ def test_construct_usage_errors_exit_2(capsys):
     assert rc == 2 and "prime power" in err
     rc, _, err = run(capsys, "construct", "--q", "8", "--n", "4", "--k", "2")
     assert rc == 2 and "even characteristic" in err
-    rc, _, err = run(capsys, "construct", "--q", "7", "--p", "7", "--n", "4", "--k", "2")
-    assert rc == 2 and "not both" in err
+    # --q is the one field flag, and no flag is taken by an abbreviation:
+    # --p is neither --permutation nor a second way to name the field
+    for flag in ("--p", "--perm"):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--q", "7", flag, "7", "--n", "4", "--k", "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
 
 
 def test_construct_named_theorem_and_overrides(capsys):
@@ -220,7 +225,7 @@ def test_huge_q_exits_2_at_once(capsys):
 def test_unusable_fields_exit_2_before_a_table_build(capsys, tmp_path, field_builds):
     # the constructions reject even q from the parsed order, before GF(2^16) is built
     for argv in (("construct", "--q", "65536", "--n", "5", "--k", "2"),
-                 ("sweep", "--p", "2", "--e", "16")):
+                 ("sweep", "--q", "65536")):
         rc, _, err = run(capsys, *argv)
         assert rc == 2 and "q = 65536 has even characteristic" in err
     # the record's p is checked before its modulus is compared with the canonical one

@@ -231,6 +231,13 @@ def test_from_coeffs_takes_integers_only():
             F.from_coeffs(coeffs)
 
 
+def test_given_modulus_takes_integers_only():
+    assert Field(3, 2, modulus=[4, 0, 1]).modulus == (1, 0, 1)  # ints still reduce mod p
+    for modulus in ([1.5, 0, 1], ["1", 0, 1], [1, 0, True]):
+        with pytest.raises(ParameterError, match="modulus must be an integer"):
+            Field(3, 2, modulus=modulus)
+
+
 def test_coeffs_encoding_is_base_p():
     F = field(3, 2)
     assert F.coeffs(0) == (0, 0)

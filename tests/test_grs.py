@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lcdmds.grs
@@ -197,8 +197,6 @@ def test_grs_dual_roundtrip():
 
 
 def test_grs_dual_rejections():
-    with pytest.raises(ParameterError, match="extended"):
-        GrsSpec(F5, tuple(range(5)), (1,) * 5, 2, extended=True).dual()
     with pytest.raises(ParameterError, match="zero-dimensional"):
         GrsSpec(F5, (0, 1), (1, 1), 2).dual()
 
@@ -221,6 +219,12 @@ def test_in_dual_scale_is_computed_once(monkeypatch):
     for coeffs in product(range(7), repeat=2):
         f = Poly(spec.field, list(coeffs))
         assert spec.in_dual(f) == in_dual_direct(spec, f)
+    assert len(calls) == 1
+    # an extended spec's scale is v_i^2: it needs no dual multipliers at all
+    ext = GrsSpec(field(7), tuple(range(7)), (1, 2, 3, 4, 5, 6, 1), 3, extended=True)
+    for coeffs in product(range(7), repeat=3):
+        f = Poly(ext.field, list(coeffs))
+        assert ext.in_dual(f) == in_dual_direct(ext, f)
     assert len(calls) == 1
 
 
@@ -251,9 +255,10 @@ def test_in_dual_matches_direct_check_random():
 
 
 @st.composite
-def extension_specs(draw):
-    """A GRS spec over GF(8), GF(9), GF(25) or GF(27), plain or extended."""
-    F = field(*draw(st.sampled_from([(2, 3), (3, 2), (5, 2), (3, 3)])))
+def grs_specs(draw, orders=((2, 3), (3, 2), (5, 2), (3, 3))):
+    """A GRS spec over one GF(p^e) of orders, by default GF(8), GF(9),
+    GF(25) or GF(27), plain or extended."""
+    F = field(*draw(st.sampled_from(orders)))
     q = F.q
     extended = draw(st.booleans())
     locs = draw(st.permutations(range(q)))
@@ -269,7 +274,20 @@ def extension_specs(draw):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(extension_specs(), st.data())
+@given(grs_specs(orders=((5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3))))
+def test_dual_spec_is_the_null_space(spec):
+    # plain and extended specs alike: the dual spec spans the null space of
+    # the generator, keeps the kind, and its own dual is the spec, exactly
+    assume(spec.k < spec.length)
+    dual_spec = spec.dual()
+    assert dual_spec.extended == spec.extended
+    assert dual_spec.k == spec.length - spec.k
+    assert dual_spec.dual() == spec
+    assert same_row_space(dual_spec.generator(), spec.generator().dual())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(grs_specs(), st.data())
 def test_in_dual_matches_direct_check_in_extension_fields(spec, data):
     F = spec.field
     exhaustive = F.q**spec.k <= 100
@@ -300,6 +318,7 @@ def test_extended_dual_shape_for_unit_multipliers():
             rows.append([g.eval(a) for a in range(q)] + [g.coeff(q - k)])
         candidate = LinearCode(F, rows)
         assert same_row_space(candidate, spec.generator().dual())
+        assert same_row_space(candidate, spec.dual().generator())
 
 
 def test_random_specs_have_full_rank_and_are_mds():
