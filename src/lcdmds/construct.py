@@ -38,16 +38,12 @@ class ConstructionReport:
     verified: dict | None = None
 
     def to_dict(self) -> dict:
-        """JSON-ready report; includes the generator so it can be re-verified."""
-        code = self.spec.generator()
+        """JSON-ready report: the code's record, which verify reads, plus the construction."""
         return {
+            **self.spec.generator().to_dict(),
             "theorem": self.theorem,
-            "field": self.spec.field.to_dict(),
-            "n": code.n,
-            "k": code.k,
             "spec": self.spec.to_dict(),
             "params": self.params,
-            "generator": [list(row) for row in code.gen],
             "verified": self.verified,
         }
 

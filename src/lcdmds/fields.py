@@ -17,10 +17,10 @@ add modulo p. The order cap q <= 2^16 keeps the tables manageable.
 The tables come from exact int64 array arithmetic, with no loop over the
 elements: multiplying by c maps digit rows through an e x e matrix over GF(p),
 so the rows of g^0 .. g^(m-1) times the matrix of g^m are those of g^m ..
-g^(2m-1), and doubling m makes exp in about log2(q) products. Candidates for
-g are tested in blocks by squaring their matrices. Log is one scatter into
-exp, the inverses one gather. The modulus search runs on the same matrices:
-is_irreducible is Rabin's test, made of powers in GF(p)[X]/(f).
+g^(2m-1), and doubling m makes exp in about log2(q) products. Log is one
+scatter into exp, the inverses one gather. One square-and-multiply on the
+same matrices, _power, serves both searches: Rabin's irreducibility test for
+the modulus, and the test that g^((q - 1)/r) != 1 for each prime r | q - 1.
 
 FieldArrays applies the same arithmetic element-wise to numpy arrays of
 element indices, for kernels that work on many matrices at once. It holds
@@ -90,6 +90,16 @@ def _times_modulo(modulus, p: int):
     return times, xpow[1]
 
 
+def _power(times, row, m: int, p: int):
+    """The digit row of row^m, by square-and-multiply on times = _times_modulo(f, p)[0]."""
+    out, step = np.eye(1, len(row), dtype=np.int64)[0], times(row)
+    while m:
+        if m & 1:
+            out = out @ step % p
+        step, m = step @ step % p, m >> 1
+    return out
+
+
 def is_irreducible(coeffs, p: int) -> bool:
     """Whether a monic polynomial f of degree e over GF(p) is irreducible.
 
@@ -102,21 +112,12 @@ def is_irreducible(coeffs, p: int) -> bool:
     if e < 1 or coeffs[-1] != 1:
         return False
     times, x = _times_modulo(coeffs, p)
-    one = np.eye(1, e, dtype=np.int64)[0]
-
-    def power(row, m):
-        out, step = one, times(row)
-        while m:
-            if m & 1:
-                out = out @ step % p
-            step, m = step @ step % p, m >> 1
-        return out
-
     frobenius = [x]  # X^(p^j), j = 0..e
     for _ in range(e):
-        frobenius.append(power(frobenius[-1], p))
-    powers = (power((frobenius[e // r] - x) % p, p**e - 1) for r in prime_factors(e))
-    return (frobenius[e] == x).all() and all((y == one).all() for y in powers)
+        frobenius.append(_power(times, frobenius[-1], p, p))
+    differences = ((frobenius[e // r] - x) % p for r in prime_factors(e))
+    powers = (_power(times, d, p**e - 1, p) for d in differences)
+    return (frobenius[e] == x).all() and all(y[0] == 1 and not y[1:].any() for y in powers)
 
 
 @lru_cache(maxsize=None)
@@ -139,6 +140,7 @@ def find_modulus(p: int, e: int) -> tuple[int, ...]:
 
 def checked_order(p: int, e: int) -> int:
     """The order p^e of a field with p prime, e >= 1 and p^e within the cap."""
+    p, e = json_int(p, "p"), json_int(e, "e")
     if e < 1:
         raise ParameterError(f"extension degree must be at least 1, got {e}")
     # The cap comes before the primality test, whose trial division does
@@ -172,23 +174,16 @@ class Field:
         p, e, q = self.p, self.e, self.q
         q1 = q - 1
         weights = p ** np.arange(e, dtype=np.int64)
-        digits = self._digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
+        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
         times = _times_modulo(self.modulus, p)[0]
-        # The first g with g^((q - 1)/r) != 1 for each prime r | q - 1, tested on
-        # blocks that double in size; for e >= 2 the prime subfield has none.
-        radicals = np.array([q1 // r for r in prime_factors(q1)], dtype=np.int64)
-        bits = (radicals >> np.arange(q1.bit_length())[:, None] & 1 == 1)[..., None, None, None]
-        start, size, found = (1 if e == 1 else p), 8, ()
-        while len(found) == 0:
-            cs = np.arange(start, min(start + size, q))
-            base = times(digits[cs])  # squared each bit: the matrices of cs^(2^bit)
-            acc = digits[[1]]  # grows into the rows of cs^(m mod 2^bit) for each radical m
-            for hit in bits:
-                acc = np.where(hit, acc @ base % p, acc)
-                base = base @ base % p
-            found = np.flatnonzero((acc[:, :, 0] @ weights != 1).all(axis=0))
-            start, size = start + size, 2 * size
-        g = self.primitive_element = int(cs[found[0]])
+        # The first g with g^((q - 1)/r) != 1 for each prime r | q - 1; for
+        # e >= 2 the prime subfield has none.
+        radicals = [q1 // r for r in prime_factors(q1)]
+        g = self.primitive_element = next(
+            c
+            for c in range(1 if e == 1 else p, q)
+            if all(_power(times, digits[c], m, p) @ weights != 1 for m in radicals)
+        )
         rows, step, m = np.empty((q1, e), dtype=np.int64), times(digits[g]), 1
         rows[0] = digits[1]
         while m < q1:
@@ -226,7 +221,7 @@ class Field:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial-basis coefficient vector of an element, low degree first."""
-        return tuple(self._digits[self.check(a)].tolist())
+        return tuple(self.arrays.digits[self.check(a)].tolist())
 
     def from_coeffs(self, coeffs) -> int:
         v = 0
@@ -353,8 +348,9 @@ class FieldArrays:
     negation table for differences; zero operands are fixed up with where().
     Every field keeps exp and log, so a product of many nonzero factors is a
     sum of their logs mod q1 = q - 1 and one exp lookup (grs.difference_products).
-    digits[a] holds the e base-p digits of element a, in the narrowest
-    unsigned type that also holds a sum of two digits.
+    inv is a table too, indexed like exp and log, and inv[0] reads 0. digits[a]
+    holds the e base-p digits of element a, in the narrowest unsigned type that
+    also holds a sum of two digits.
     """
 
     def __init__(self, p: int, e: int, digits, inv, exp, log, zech, neg):
@@ -362,7 +358,7 @@ class FieldArrays:
         the Field lists of the same names."""
         self.p = p
         self.prime = e == 1
-        self.inv_table = inv
+        self.inv = inv
         self.digits = digits.astype(np.min_scalar_type(2 * (p - 1)))
         self.q1 = len(log) - 1
         self.exp, self.log, self.zech, self.neg = exp, log, zech, neg
@@ -371,9 +367,6 @@ class FieldArrays:
         if self.prime:
             return a * b % self.p
         return self.exp[self.log[a] + self.log[b]]
-
-    def inv(self, a):
-        return self.inv_table[a]
 
     def sub(self, a, b):
         if self.prime:
@@ -398,7 +391,7 @@ def field_from_order(q: int) -> Field:
 
 def prime_power(q: int) -> tuple[int, int]:
     """(p, e) with p prime and p^e = q, for q within the order cap."""
-    if q < 2:
+    if json_int(q, "q") < 2:
         raise ParameterError(f"{q} is not a prime power")
     # before prime_factors, whose trial division does not end on a huge q
     if q > MAX_ORDER:

@@ -64,7 +64,7 @@ def dual_multipliers(F: Field, locators) -> tuple[int, ...]:
     locs = tuple(F.check(a) for a in locators)
     if len(set(locs)) != len(locs):
         raise ParameterError("duplicate locator")
-    return tuple(F.arrays.inv(difference_products(F, locs, locs)).tolist())
+    return tuple(F.arrays.inv[difference_products(F, locs, locs)].tolist())
 
 
 @dataclass(frozen=True)

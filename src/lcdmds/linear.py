@@ -103,7 +103,7 @@ def _rref(field: Field, A):
             continue
         # no swap: row r moves to the pivot's place, the scaled pivot row to r
         pr = r + below[0]
-        pivot_row = arrays.mul(A[pr], arrays.inv(A[pr, c]))
+        pivot_row = arrays.mul(A[pr], arrays.inv[A[pr, c]])
         A[pr] = A[r]
         A = arrays.sub(A, arrays.mul(A[:, c : c + 1], pivot_row))
         A[r] = pivot_row
@@ -132,7 +132,7 @@ def _distinct_points(field: Field, rows, later) -> bool:
         return False
     # a point is its slope bottom/top, or q at infinity; unmarked columns get
     # labels above q that match nothing
-    slope = np.where(top != 0, arrays.mul(bottom, arrays.inv(top)), q)
+    slope = np.where(top != 0, arrays.mul(bottom, arrays.inv[top]), q)
     slope = np.where(later, slope, q + 1 + np.arange(rows.shape[2]))
     slope.sort(axis=1)
     return not (slope[:, 1:] == slope[:, :-1]).any()
@@ -283,7 +283,7 @@ class LinearCode:
             rows = rows[prefix, :, start - lo :]
             pivot = (w != 0).argmax(axis=1)
             pivot_row = rows[m, pivot]
-            f = arrays.mul(w, arrays.inv(w[m, pivot])[:, None])
+            f = arrays.mul(w, arrays.inv[w[m, pivot]][:, None])
             rows = arrays.sub(rows, arrays.mul(f[:, :, None], pivot_row[:, None, :]))
             # the pivot row is now zero: the last row moves into its place
             rows[m, pivot] = rows[:, -1]

@@ -11,24 +11,24 @@ divided-difference loops then run unchecked on the field's tables.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import ParameterError
 from .fields import Field
 
 NEG_INF = float("-inf")
 
 
+@dataclass(frozen=True, slots=True)
 class Poly:
-    __slots__ = ("field", "coeffs")
+    field: Field
+    coeffs: tuple[int, ...] = ()
 
-    def __init__(self, field: Field, coeffs=()):
-        cs = [field.check(c) for c in coeffs]
+    def __post_init__(self):
+        cs = [self.field.check(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Poly is immutable")
 
     @property
     def degree(self):
@@ -52,16 +52,6 @@ class Poly:
         if i < 0:
             raise ParameterError("coefficient index must be nonnegative")
         return self.coeffs[i] if i < len(self.coeffs) else 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def __repr__(self):
         if not self.coeffs:

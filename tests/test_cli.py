@@ -41,16 +41,19 @@ def test_construct_text_format(capsys):
     assert "generator:" in out
 
 
-def test_construct_round_trips_through_verify(capsys, tmp_path):
-    rc, out, _ = run(capsys, "construct", "--q", "7", "--n", "8", "--k", "3")
+def test_construct_round_trips_through_verify(capsys, tmp_path, monkeypatch):
+    rc, report, _ = run(capsys, "construct", "--q", "7", "--n", "8", "--k", "3")
     assert rc == 0
     path = tmp_path / "code.json"
-    path.write_text(out)
+    path.write_text(report)
     rc, out, _ = run(capsys, "verify", str(path))
     assert rc == 0
     verdict = json.loads(out)
     assert verdict["is_lcd"] and verdict["is_mds"]
     assert verdict["hull_dimension"] == 0
+    # "-" reads the report from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(report))
+    assert run(capsys, "verify", "-") == (0, out, "")
 
 
 def test_construct_no_construction_exit_3(capsys):
@@ -71,6 +74,10 @@ def test_construct_usage_errors_exit_2(capsys):
             main(["construct", "--q", "7", flag, "7", "--n", "4", "--k", "2"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--q", "7", "--n", "6", "--k", "3", "--tail", "3,x"])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers, got '3,x'" in capsys.readouterr().err
 
 
 def test_construct_named_theorem_and_overrides(capsys):
@@ -317,6 +324,23 @@ def test_sweep_rejects_bad_fields(capsys):
     assert rc == 2 and "even characteristic" in err
     rc, _, err = run(capsys, "sweep", "--q", "3")
     assert rc == 2 and "q > 3" in err
+    rc, _, err = run(capsys, "sweep", "--q", "7", "--n-max", "9")
+    assert rc == 2 and "--n-max cannot exceed q + 1 = 8" in err
+
+
+def test_sweep_over_budget_rows_exit_5(capsys, tmp_path):
+    out_path = tmp_path / "sweep7.json"
+    rc, _, _ = run(capsys, "sweep", "--q", "7", "--budget", "10", "--output", str(out_path))
+    assert rc == 5
+    rows = {(r["n"], r["k"]): r for r in json.loads(out_path.read_text())["rows"]}
+    assert rows[(4, 2)]["status"] == "ok" and rows[(4, 2)]["verified"] is True
+    over = [cell for cell in rows if cell[0] >= 6]
+    assert over == [(6, 2), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3), (8, 4)]
+    for cell in over:
+        row = rows[cell]
+        assert row["status"] == "budget_exceeded" and row["verified"] is False
+        assert row["hull_dimension"] is row["is_mds"] is row["mds_route"] is None
+        assert row["min_distance"] is None
 
 
 def test_sweep_unwritable_output_exits_2(capsys, tmp_path):

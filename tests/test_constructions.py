@@ -267,6 +267,8 @@ def test_auto_rejections():
         construct_auto(F5, 6, 1)
     with pytest.raises(ParameterError, match="even characteristic"):
         construct_auto(field(2, 3), 4, 2)
+    with pytest.raises(ParameterError, match="unknown theorem tag"):
+        construct_auto(F7, 6, 2, theorem="NoSuchFamily")
 
 
 def test_auto_matches_named_construction():

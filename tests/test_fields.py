@@ -119,7 +119,7 @@ def test_field_arrays_match_scalar_ops(p, e):
     assert arrays.mul(x, y).tolist() == [F.mul(s, t) for s, t in zip(a, b)]
     assert arrays.sub(x, y).tolist() == [F.sub(s, t) for s, t in zip(a, b)]
     units = [s for s in a if s]
-    assert arrays.inv(np.array(units, dtype=np.int64)).tolist() == [F.inv(s) for s in units]
+    assert arrays.inv[np.array(units, dtype=np.int64)].tolist() == [F.inv(s) for s in units]
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (2, 4)])
@@ -151,6 +151,8 @@ def test_irreducibility_helper():
     assert is_irreducible([1, 0, 1], 3)  # X^2 + 1
     assert not is_irreducible([2, 0, 1], 3)  # X^2 + 2 = (X-1)(X+1)
     assert is_irreducible([0, 1], 5)  # X
+    assert not is_irreducible([3], 5)  # a constant has degree 0
+    assert not is_irreducible([1, 2], 5)  # not monic
     # degree 4 with no roots but reducible: (X^2+1)^2 over GF(3)
     assert not is_irreducible([1, 0, 2, 0, 1], 3)
 
@@ -229,6 +231,16 @@ def test_from_coeffs_takes_integers_only():
     for F, coeffs in ((field(5), [1.5]), (field(3, 2), [2.5, 1]), (field(3, 2), [1, True])):
         with pytest.raises(ParameterError, match="coefficient must be an integer"):
             F.from_coeffs(coeffs)
+    with pytest.raises(ParameterError, match="too long"):
+        field(5).from_coeffs([1, 1])
+
+
+def test_field_parameters_take_integers_only():
+    for args, name in (((5.0,), "p"), ((5, True), "e"), ((7, 1.0), "e")):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            Field(*args)
+    with pytest.raises(ParameterError, match="q must be an integer"):
+        fields.prime_power(9.0)
 
 
 def test_given_modulus_takes_integers_only():
@@ -340,6 +352,8 @@ def test_element_range_checks():
         F.mul(-1, 2)
     with pytest.raises(ParameterError):
         F.coeffs(9)
+    with pytest.raises(ParameterError, match="no multiplicative order"):
+        F.multiplicative_order(0)
 
 
 def test_prime_helpers():

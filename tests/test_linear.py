@@ -105,6 +105,8 @@ def test_generator_must_have_full_rank():
         LinearCode(F5, [[2, 4], [1, 2]])
     with pytest.raises(ParameterError, match="length"):
         LinearCode(F5, [], n=None)
+    with pytest.raises(ParameterError, match="code length must be positive"):
+        LinearCode(F5, [], n=0)
 
 
 def test_dual_examples():
@@ -534,6 +536,8 @@ def test_mds_route_and_budget_message():
     )
     with pytest.raises(BudgetExceeded, match=r"65521\^1000 \(~2\.4e4816\)"):
         mds_route(65521, 1001, 1000, 10)
+    # a mantissa that rounds up to 10 carries into the exponent
+    assert linear._amount(999_950_000_000_000, "x") == "x (~1.0e15)"
     with pytest.raises(ParameterError, match="zero-dimensional"):
         mds_route(9, 9, 0, 10**6)
 
@@ -561,3 +565,4 @@ def test_code_serialization_roundtrip():
     code = GrsSpec(F5, (0, 1, 2, 3), (1, 2, 3, 4), 2).generator()
     other = LinearCode.from_dict(code.to_dict())
     assert other.gen == code.gen and other.field == code.field
+    assert repr(other) == "LinearCode([4,2] over GF(5))"

@@ -107,3 +107,5 @@ def test_poly_is_immutable_value():
         f.coeffs = (0,)
     assert f == Poly(F5, [1, 2, 0])
     assert hash(f) == hash(Poly(F5, [1, 2]))
+    assert repr(Poly(F5, [1, 0, 3])) == "Poly(GF(5), 1 + 3*X^2)"
+    assert repr(Poly(F5)) == "Poly(GF(5), 0)"
