@@ -24,8 +24,9 @@ the modulus, and the test that g^((q - 1)/r) != 1 for each prime r | q - 1.
 
 FieldArrays applies the same arithmetic element-wise to numpy arrays of
 element indices, for kernels that work on many matrices at once. It holds
-the arrays the tables were computed as, and builds none of its own; the
-scalar operations read the same tables as Python lists.
+the arrays the tables were computed as (the Zech table twice over) and
+builds none of its own; the scalar operations read the same tables as Python
+lists. One fused step, a - b c, makes every difference and elimination step.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def is_irreducible(coeffs, p: int) -> bool:
     return (frobenius[e] == x).all() and all(y[0] == 1 and not y[1:].any() for y in powers)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 and True miss 3 and 1, reaching the check
 def find_modulus(p: int, e: int) -> tuple[int, ...]:
     """First monic irreducible of degree e, low-degree-first coefficient order.
 
@@ -343,9 +344,12 @@ class Field:
 class FieldArrays:
     """Field arithmetic applied element-wise to int64 arrays of element indices.
 
-    Prime fields compute modulo p. Extension fields use the field's own
-    tables as arrays: exp/log for products, and the Zech table with the
-    negation table for differences; zero operands are fixed up with where().
+    Subtraction is one fused, broadcasting step, submul(a, b, c) = a - b c.
+    A prime field takes (a + (p - b) c) % p, one % over sums below p^2 <= 2^32.
+    An extension field adds logs: lb = log(-b) + log c, clamped at 2q - 3 when
+    b c = 0, and a - b c = g^(la + Z(lb - la)) with la = log a, copyto fixing
+    a = 0 and b c = 0. zech is Z twice over, so lb - la, from -2(q - 1) up to
+    2q - 3, indexes it with no % (q - 1): negative indices wrap.
     Every field keeps exp and log, so a product of many nonzero factors is a
     sum of their logs mod q1 = q - 1 and one exp lookup (grs.difference_products).
     inv is a table too, indexed like exp and log, and inv[0] reads 0. digits[a]
@@ -361,27 +365,33 @@ class FieldArrays:
         self.inv = inv
         self.digits = digits.astype(np.min_scalar_type(2 * (p - 1)))
         self.q1 = len(log) - 1
-        self.exp, self.log, self.zech, self.neg = exp, log, zech, neg
+        self.exp, self.log, self.zech, self.neg = exp, log, np.tile(zech, 2), neg
 
     def mul(self, a, b):
         if self.prime:
             return a * b % self.p
         return self.exp[self.log[a] + self.log[b]]
 
-    def sub(self, a, b):
+    def submul(self, a, b, c):
+        """a - b c, broadcast; b = 1 makes a difference."""
         if self.prime:
-            return (a - b) % self.p
-        # a zero operand indexes harmlessly inside the tables; where() fixes it
-        b = self.neg[b]
+            return (a + (self.p - b) * c) % self.p
+        zero_product = 2 * self.q1 - 1
+        lb = np.minimum(self.log[self.neg[b]] + self.log[c], zero_product)
         la = self.log[a]
-        s = self.exp[la + self.zech[(self.log[b] - la) % self.q1]]
-        return np.where(a == 0, b, np.where(b == 0, a, s))
+        s = self.exp[la + self.zech[lb - la]]
+        np.copyto(s, self.exp[lb], where=a == 0)
+        np.copyto(s, a, where=lb == zero_product)
+        return s
 
 
-@lru_cache(maxsize=None)
+_shared_field = lru_cache(maxsize=None)(Field)
+
+
 def field(p: int, e: int = 1) -> Field:
     """Shared Field instance for GF(p^e) with the canonical modulus."""
-    return Field(p, e)
+    # checked first: the cache would take 7.0 and True for 7 and 1
+    return _shared_field(json_int(p, "p"), json_int(e, "e"))
 
 
 def field_from_order(q: int) -> Field:

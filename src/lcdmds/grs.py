@@ -42,14 +42,14 @@ from .poly import Poly, interpolate
 def difference_products(F: Field, points, others) -> np.ndarray:
     """For each point a, the product of (a - x) over the x in others with x != a.
 
-    One FieldArrays.sub makes every difference; each product is a row sum of
+    One FieldArrays.submul makes every difference; each product is a row sum of
     their logs mod q - 1 and one exp lookup, in which the x = a terms drop out
     with no mask, as log 0 = 2(q - 1). The caller checks the elements.
     """
     arrays = F.arrays
     a = np.array(points, dtype=np.int64)[:, None]
     x = np.array(others, dtype=np.int64)[None, :]
-    logs = arrays.log[arrays.sub(a, x)]
+    logs = arrays.log[arrays.submul(a, 1, x)]
     return arrays.exp[logs.sum(axis=1) % arrays.q1]
 
 

@@ -9,9 +9,9 @@ distance, and column subsets, the nonsingularity of every k-column
 submatrix by an elimination shared along a prefix tree of column subsets.
 Matrices are sequences of rows of canonical element indices. Their elements
 are checked once, in _matrix, where a matrix enters the public functions or
-a LinearCode; then RREF (one Gauss-Jordan step per pivot), the product G Gt
-behind the hull and the subset kernel run on the checked arrays with the
-field's shared FieldArrays.
+a LinearCode; then RREF and the subset kernel (one fused FieldArrays.submul,
+A - column x pivot row, per pivot) and the product G Gt behind the hull run
+on the checked arrays with the field's shared FieldArrays.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _rref(field: Field, A):
         pr = r + below[0]
         pivot_row = arrays.mul(A[pr], arrays.inv[A[pr, c]])
         A[pr] = A[r]
-        A = arrays.sub(A, arrays.mul(A[:, c : c + 1], pivot_row))
+        A = arrays.submul(A, A[:, c : c + 1], pivot_row)
         A[r] = pivot_row
         pivots.append(c)
     return A, tuple(pivots)
@@ -284,7 +284,7 @@ class LinearCode:
             pivot = (w != 0).argmax(axis=1)
             pivot_row = rows[m, pivot]
             f = arrays.mul(w, arrays.inv[w[m, pivot]][:, None])
-            rows = arrays.sub(rows, arrays.mul(f[:, :, None], pivot_row[:, None, :]))
+            rows = arrays.submul(rows, f[:, :, None], pivot_row[:, None, :])
             # the pivot row is now zero: the last row moves into its place
             rows[m, pivot] = rows[:, -1]
             if not visit(rows[:, :-1], start, col):

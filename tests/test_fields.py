@@ -1,9 +1,12 @@
+import math
 import random
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     digit_add,
@@ -109,17 +112,67 @@ def test_tables_match_scalar_reference(p, e, modulus):
 
 @pytest.mark.parametrize("p,e", [(7, 1), (2, 4), (3, 3), (3, 7), (65521, 1)])
 def test_field_arrays_match_scalar_ops(p, e):
-    # zero operands, a - a = 0 (the Zech sentinel) and the largest prime field
+    # zero operands, a - a = 0 and a - b c = 0 (the Zech sentinel), the
+    # difference (b = 1) and the largest prime field
     F = field(p, e)
     arrays = F.arrays
     rng = random.Random(p + e)
     a = [rng.randrange(F.q) for _ in range(400)] + [0, 0, F.q - 1]
     b = a[:100] + [rng.randrange(F.q) for _ in range(300)] + [0, F.q - 1, 0]
-    x, y = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    c = [rng.randrange(F.q) for _ in range(200)] + [1] * 100 + [0] * 103
+    ab = [F.mul(s, t) for s, t in zip(b, c)][:50] + a[50:]
+    x, y, z = (np.array(v, dtype=np.int64) for v in (a, b, c))
     assert arrays.mul(x, y).tolist() == [F.mul(s, t) for s, t in zip(a, b)]
-    assert arrays.sub(x, y).tolist() == [F.sub(s, t) for s, t in zip(a, b)]
+    assert arrays.submul(x, 1, y).tolist() == [F.sub(s, t) for s, t in zip(a, b)]
+    for w in (a, ab):
+        assert arrays.submul(np.array(w), y, z).tolist() == [
+            F.sub(s, F.mul(t, u)) for s, t, u in zip(w, b, c)
+        ]
     units = [s for s in a if s]
     assert arrays.inv[np.array(units, dtype=np.int64)].tolist() == [F.inv(s) for s in units]
+
+
+@st.composite
+def submul_operands(draw):
+    """(F, a, b, c) for FieldArrays.submul: a column times a row as in _rref, a
+    (B, r, 1) times (B, 1, w) stack as in the subset kernel, or a difference
+    (b = 1) of a column and a row as in grs.difference_products. Elements are
+    zero half the time, and a = b c at drawn entries, where the Zech index
+    lands on its sentinel 1 + g^m = 0."""
+    F = field(*draw(st.sampled_from([(7, 1), (2, 4), (3, 3), (3, 7), (3, 10), (65521, 1)])))
+    B, r, w = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    shapes = draw(st.sampled_from([
+        ((r, w), (r, 1), (w,)),
+        ((B, r, w), (B, r, 1), (B, 1, w)),
+        ((r, 1), None, (1, w)),
+    ]))
+    element = st.one_of(st.just(0), st.integers(0, F.q - 1))
+
+    def array(shape):
+        size = math.prod(shape)
+        values = draw(st.lists(element, min_size=size, max_size=size))
+        return np.array(values, dtype=np.int64).reshape(shape)
+
+    a, c = array(shapes[0]), array(shapes[2])
+    b = 1 if shapes[1] is None else array(shapes[1])
+    if shapes[1] is None:
+        if draw(st.booleans()):
+            a[draw(st.integers(0, r - 1)), 0] = c[0, draw(st.integers(0, w - 1))]
+    else:
+        same = draw(st.lists(st.booleans(), min_size=a.size, max_size=a.size))
+        product = np.vectorize(F._mul, otypes=[np.int64])(b, c)
+        a = np.where(np.reshape(same, a.shape), product, a)
+    return F, a, b, c
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(submul_operands())
+def test_submul_matches_scalar_sub_mul(case):
+    F, a, b, c = case
+    expected = [F._sub(int(x), F._mul(int(y), int(z))) for x, y, z in np.broadcast(a, b, c)]
+    out = F.arrays.submul(a, b, c)
+    assert out.shape == np.broadcast(a, b, c).shape
+    assert out.ravel().tolist() == expected
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (2, 4)])
@@ -241,6 +294,20 @@ def test_field_parameters_take_integers_only():
             Field(*args)
     with pytest.raises(ParameterError, match="q must be an integer"):
         fields.prime_power(9.0)
+
+
+def test_cached_field_and_modulus_still_take_integers_only():
+    # the valid form first, so that a cache that took 7.0 and True for 7 and
+    # 1 would answer the non-integer forms with it
+    assert field(7, 1) is field(7) and field(3, 1) is field(3)
+    for args, name in (((7, 1.0), "e"), ((7.0, 1), "p"), ((7.0,), "p"), ((3, True), "e")):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            field(*args)
+    assert find_modulus(3, 2) == (1, 0, 1)
+    for args, name in (((3.0, 2), "p"), ((3, 2.0), "e"), ((3, True), "e")):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            find_modulus(*args)
+    assert field_from_order(7) is field(7)
 
 
 def test_given_modulus_takes_integers_only():
