@@ -60,21 +60,14 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
+def _budget(args) -> int:
+    raw, source = args.budget, "--budget"
     if raw is None:
-        return DEFAULT_BUDGET
+        raw, source = os.environ.get(BUDGET_ENV, DEFAULT_BUDGET), BUDGET_ENV
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ParameterError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
-
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        budget, source = args.budget, "--budget"
-    else:
-        budget, source = _default_budget(), BUDGET_ENV
     if budget < 0:
         raise ParameterError(f"{source} must not be negative, got {budget}")
     return budget
@@ -190,6 +183,8 @@ def cmd_sweep(args) -> int:
     n_max = args.n_max if args.n_max is not None else F.q + 1
     if n_max > F.q + 1:
         raise ParameterError(f"--n-max cannot exceed q + 1 = {F.q + 1}")
+    if n_max < 4:
+        raise ParameterError(f"--n-max must be at least 4, the smallest length swept, got {n_max}")
     budget = _budget(args)
     if not args.output:
         return _sweep(F, n_max, budget, sys.stdout)

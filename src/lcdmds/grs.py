@@ -110,8 +110,7 @@ class GrsSpec:
 
     @cached_property
     def _generator(self) -> LinearCode:
-        F = self.field
-        arrays = F.arrays
+        arrays = self.field.arrays
         multipliers = np.array(self.multipliers, dtype=np.int64)
         locators = np.array(self.locators, dtype=np.int64)
         rows = np.zeros((self.k, self.length), dtype=np.int64)
@@ -121,7 +120,7 @@ class GrsSpec:
             powers = arrays.mul(powers, locators)
         if self.extended:
             rows[-1, -1] = 1
-        return LinearCode(F, rows.tolist())
+        return LinearCode(self.field, rows)
 
     def _scaled_values(self, f: Poly, scale) -> list[int]:
         """(s_1 f(a_1), ..., s_n f(a_n)) for a message f of degree < k."""

@@ -1,22 +1,22 @@
 """Generic linear codes over a Field, given by full-row-rank generator matrices.
 
 This module holds the verification oracles everything else is checked
-against: reduced row echelon form and rank, dual codes via null spaces,
-hull dimensions, and one MDS check, LinearCode.mds_check. It has two named
-routes, and mds_route picks one from (q, n, k) and the budget: enumeration
-of one codeword per projective point, which also gives the minimum
-distance, and column subsets, the nonsingularity of every k-column
-submatrix by an elimination shared along a prefix tree of column subsets.
-Matrices are sequences of rows of canonical element indices. Their elements
-are checked once, in _matrix, where a matrix enters the public functions or
-a LinearCode; then RREF and the subset kernel (one fused FieldArrays.submul,
-A - column x pivot row, per pivot) and the product G Gt behind the hull run
-on the checked arrays with the field's shared FieldArrays.
+against: RREF and rank, duals via null spaces, hull dimensions, and one MDS
+check, LinearCode.mds_check, whose two named routes mds_route picks from
+(q, n, k) and the budget: enumeration of one codeword per projective point,
+which also gives the minimum distance, and column subsets, every k-column
+submatrix nonsingular, by eliminations shared along a prefix tree.
+_matrix checks a list of rows element by element, or an int64 array by one
+range test. A LinearCode keeps its generator G as a read-only array and
+row-reduces once, [G Gt | G]: G Gt lies in the column space of G, so there
+are k pivots iff the rows are independent, and the pivots among the first k
+columns count rank(G Gt), which gives the hull dimension k - rank(G Gt)
+(Massey 1992). Each pivot is one fused FieldArrays.submul, A - column x row.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from math import comb, log10
 
 import numpy as np
@@ -36,6 +36,7 @@ ROUTE_COLUMN_SUBSETS = "column_subsets"
 # carries r reduced rows over w live columns (w <= n), which bounds its
 # working set whatever C(n, k).
 SUBSET_BATCH_ENTRIES = 1 << 13
+PRODUCT_BATCH_ENTRIES = 1 << 20  # products per chunk of an extension-field _product
 
 
 def _amount(value: int, text: str) -> str:
@@ -69,11 +70,20 @@ def mds_route(q: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> str:
     )
 
 
-def _matrix(field: Field, rows) -> list[list[int]]:
+def _matrix(field: Field, rows):
+    """rows, checked, as a new (r, c) int64 array; (0, 0) when there are none."""
+    if isinstance(rows, np.ndarray):
+        if rows.dtype != np.int64 or rows.ndim != 2:
+            raise ParameterError(f"matrix array must be 2-D int64, not {rows.ndim}-D {rows.dtype}")
+        if rows.size and not 0 <= rows.min() <= rows.max() < field.q:
+            raise ParameterError(f"matrix array entries must be element indices of {field!r}")
+        return rows.copy()
+    if not isinstance(rows, (list, tuple)):
+        raise ParameterError(f"not a list of rows or an int64 array: {type(rows).__name__}")
     out = [[field.check(x) for x in row] for row in rows]
     if out and len({len(r) for r in out}) != 1:
         raise ParameterError("matrix rows have unequal lengths")
-    return out
+    return np.array(out, dtype=np.int64).reshape(len(out), len(out[0]) if out else 0)
 
 
 def rref(field: Field, rows):
@@ -82,10 +92,7 @@ def rref(field: Field, rows):
     Returns (rref_rows, rank, pivot_columns). Deterministic: the pivot for
     each column is the first row, top to bottom, with a nonzero entry there.
     """
-    M = _matrix(field, rows)
-    if not M:
-        return (), 0, ()
-    R, pivots = _rref(field, np.array(M, dtype=np.int64))
+    R, pivots = _rref(field, _matrix(field, rows))
     return tuple(map(tuple, R.tolist())), len(pivots), pivots
 
 
@@ -98,7 +105,7 @@ def _rref(field: Field, A):
         r = len(pivots)
         if r == A.shape[0]:
             break
-        below = np.flatnonzero(A[r:, c])
+        below = A[r:, c].nonzero()[0]
         if not below.size:
             continue
         # no swap: row r moves to the pivot's place, the scaled pivot row to r
@@ -112,13 +119,14 @@ def _rref(field: Field, A):
 
 
 def _product(field: Field, a, b):
-    """a @ b over the field, for checked int64 arrays."""
+    """a @ b over the field for checked int64 arrays, PRODUCT_BATCH_ENTRIES products a chunk."""
     p = field.p
     if field.e == 1:
         return a @ b % p
-    arrays = field.arrays
-    sums = arrays.digits[arrays.mul(a[:, :, None], b)].sum(axis=1, dtype=np.int64) % p
-    return sums @ p ** np.arange(field.e)
+    arrays, step = field.arrays, max(1, PRODUCT_BATCH_ENTRIES // max(1, b.size))
+    chunks = (a[i : i + step, :, None] for i in range(0, len(a) or 1, step))
+    sums = [arrays.digits[arrays.mul(x, b)].sum(axis=1, dtype=np.int64) for x in chunks]
+    return np.concatenate(sums) % p @ p ** np.arange(field.e)
 
 
 def _distinct_points(field: Field, rows, later) -> bool:
@@ -142,51 +150,52 @@ class LinearCode:
     """An [n, k] linear code; the generator must have full row rank.
 
     k = 0 (empty generator) is allowed so duals of full-space codes exist.
+    array is the generator as a read-only (k, n) int64 array, gen its rows.
     """
 
     def __init__(self, field: Field, gen, n: int | None = None):
-        M = _matrix(field, gen)
-        if n is None and not M:
+        n = n if n is None else json_int(n, "n")
+        G = _matrix(field, gen)
+        k = len(G)
+        if n is None and not k:
             raise ParameterError("zero-dimensional code needs an explicit length")
-        length = len(M[0]) if M else int(n)
-        if n is not None and int(n) != length:
+        length = G.shape[1] if k else n
+        if n is not None and n != length:
             raise ParameterError("explicit length disagrees with the generator")
         if length < 1:
             raise ParameterError("code length must be positive")
-        if len(M) > length:
+        if k > length:
             raise ParameterError("more generator rows than the length allows")
-        _, pivots = _rref(field, np.array(M, dtype=np.int64).reshape(len(M), length))
-        if len(pivots) != len(M):
+        G = G.reshape(k, length)
+        _, pivots = _rref(field, np.hstack((_product(field, G, G.T), G)))
+        if len(pivots) != k:
             raise ParameterError("generator rows are linearly dependent")
-        self.field = field
-        self.gen = tuple(tuple(row) for row in M)
-        self.n = length
-        self.k = len(M)
+        G.flags.writeable = False
+        self.field, self.array, self.n, self.k = field, G, length, k
+        self._hull = k - sum(c < k for c in pivots)
 
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over {self.field!r})"
 
-    def _array(self):
-        """The generator as a fresh (k, n) int64 array."""
-        return np.array(self.gen, dtype=np.int64).reshape(self.k, self.n)
+    @cached_property
+    def gen(self) -> tuple[tuple[int, ...], ...]:
+        """The generator rows as tuples of element indices."""
+        return tuple(map(tuple, self.array.tolist()))
 
     def dual(self) -> "LinearCode":
         """The dual code under the standard inner product, in RREF."""
         F = self.field
-        R, pivots = _rref(F, self._array())
+        R, pivots = _rref(F, self.array.copy())
         free = np.setdiff1d(np.arange(self.n), pivots)
-        if not free.size:
-            return LinearCode(F, [], n=self.n)
         # one row per free column f: 1 at f and -R[r, f] at the pivot column of row r
         rows = np.zeros((free.size, self.n), dtype=np.int64)
         rows[np.arange(free.size), free] = 1
         rows[:, list(pivots)] = F.arrays.neg[R[:, free]].T
-        return LinearCode(F, _rref(F, rows)[0].tolist())  # rows are independent
+        return LinearCode(F, _rref(F, rows)[0], n=self.n)  # rows are independent
 
     def hull_dimension(self) -> int:
-        """dim(C and C-dual) = k - rank(G Gt)."""
-        G = self._array()
-        return self.k - len(_rref(self.field, _product(self.field, G, G.T))[1])
+        """dim(C and C-dual) = k - rank(G Gt), from the RREF made with the code."""
+        return self._hull
 
     def is_lcd(self) -> bool:
         return self.hull_dimension() == 0
@@ -210,9 +219,8 @@ class LinearCode:
         n, k = self.n, self.k
         digits = arrays.digits
         dtype, count = digits.dtype.type, np.min_scalar_type(n)
-        gen = np.array(self.gen, dtype=np.int64)
         # scaled[:, r, :, c] is the (e, n) digit array of c * gen[r]
-        scaled = np.take(digits.T, arrays.mul(gen[:, :, None], np.arange(q)), axis=1)
+        scaled = np.take(digits.T, arrays.mul(self.array[:, :, None], np.arange(q)), axis=1)
         span = np.zeros((e, n, 1), dtype=dtype)
         best = n
         for r in range(k - 1, -1, -1):
@@ -245,8 +253,7 @@ class LinearCode:
         pairs of one chunk share few columns and drop many.
         It runs whatever C(n, k); mds_check decides when it fits the budget.
         """
-        F, n = self.field, self.n
-        gen = self._array()
+        F, n, gen = self.field, self.n, self.array
         if self.k == 1:
             return bool(gen.all())
         # (rows of a chunk of prefixes, the first column lo they carry, and
@@ -306,7 +313,7 @@ class LinearCode:
     def verdict(self, budget: int = DEFAULT_BUDGET) -> dict:
         """Hull dimension and MDS check, as the JSON-ready LCD/MDS verdict.
 
-        The MDS check runs first, so an over-budget code costs no hull.
+        The hull comes from the code's one RREF; only the MDS check meets the budget.
         """
         mds, route, dist = self.mds_check(budget)
         hull = self.hull_dimension()
@@ -325,10 +332,9 @@ class LinearCode:
             "field": self.field.to_dict(),
             "n": self.n,
             "k": self.k,
-            "generator": [list(row) for row in self.gen],
+            "generator": self.array.tolist(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearCode":
-        F, n = Field.from_dict(d["field"]), d.get("n")
-        return cls(F, d["generator"], n=None if n is None else json_int(n, "n"))
+        return cls(Field.from_dict(d["field"]), d["generator"], n=d.get("n"))

@@ -319,13 +319,20 @@ def test_sweep_q7_has_uncovered_row(capsys, tmp_path):
     assert rows[(5, 2)]["hull_dimension"] is None
 
 
-def test_sweep_rejects_bad_fields(capsys):
+def test_sweep_rejects_bad_fields(capsys, tmp_path):
     rc, _, err = run(capsys, "sweep", "--q", "4")
     assert rc == 2 and "even characteristic" in err
     rc, _, err = run(capsys, "sweep", "--q", "3")
     assert rc == 2 and "q > 3" in err
     rc, _, err = run(capsys, "sweep", "--q", "7", "--n-max", "9")
     assert rc == 2 and "--n-max cannot exceed q + 1 = 8" in err
+    # 4 is the smallest length swept: below it the grid would be empty
+    for n_max in ("-7", "0", "3"):
+        rc, out, err = run(capsys, "sweep", "--q", "5", "--n-max", n_max)
+        assert rc == 2 and out == "" and "--n-max must be at least 4" in err
+    path = tmp_path / "sweep.json"
+    rc, _, _ = run(capsys, "sweep", "--q", "5", "--n-max", "4", "--output", str(path))
+    assert rc == 0 and [(r["n"], r["k"]) for r in json.loads(path.read_text())["rows"]] == [(4, 2)]
 
 
 def test_sweep_over_budget_rows_exit_5(capsys, tmp_path):

@@ -100,6 +100,26 @@ def test_rref_and_mat_mul_match_scalar_references():
                     assert product == mat_mul_scalar(F, M, other), (F, M, other)
 
 
+@pytest.mark.parametrize("batch", [1, 7, 50])
+def test_extension_products_go_in_bounded_chunks(monkeypatch, batch):
+    # LinearCode forms G Gt before any budget check, so a long file must not
+    # make a (k, n, k) temporary at once
+    F = field(3, 3)
+    rng = random.Random(batch)
+    monkeypatch.setattr(linear, "PRODUCT_BATCH_ENTRIES", batch)
+    sizes = []
+    mul = type(F.arrays).mul
+    counted = lambda s, x, y: sizes.append(np.broadcast(x, y).size) or mul(s, x, y)  # noqa: E731
+    monkeypatch.setattr(type(F.arrays), "mul", counted)
+    for k, n, m in [(0, 3, 2), (1, 1, 1), (5, 4, 3), (9, 2, 6), (12, 6, 12)]:
+        A = [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)]
+        B = [[rng.randrange(F.q) for _ in range(m)] for _ in range(n)]
+        a, b = np.array(A, dtype=np.int64).reshape(k, n), np.array(B, dtype=np.int64)
+        assert linear._product(F, a, b).tolist() == mat_mul_scalar(F, A, B)
+        assert max(sizes) <= max(batch, n * m)
+        sizes.clear()
+
+
 def test_generator_must_have_full_rank():
     with pytest.raises(ParameterError, match="dependent"):
         LinearCode(F5, [[2, 4], [1, 2]])
@@ -193,6 +213,113 @@ def test_elements_are_checked_once_at_the_boundary(monkeypatch):
     # the public functions still check every element they are given
     rref(F, gen)
     assert len(calls) == 5 * 20
+
+
+def test_one_elimination_per_code(monkeypatch):
+    # the rank check and the hull come from one RREF of [G Gt | G]
+    F = field(3, 3)
+    gen = GrsSpec(F, tuple(range(1, 10)), tuple(range(2, 11)), 4).generator().gen
+    calls = []
+    real = linear._rref
+    monkeypatch.setattr(linear, "_rref", lambda f, A: calls.append(A.shape) or real(f, A))
+    code = LinearCode(F, gen)
+    assert calls == [(4, 4 + 9)]
+    calls.clear()
+    code.hull_dimension(), code.is_lcd()
+    # 27^4 codewords fit the default budget, C(9, 4) = 126 subsets fit 200
+    assert code.verdict()["mds_route"] == "enumeration"
+    assert code.verdict(budget=200)["mds_route"] == "column_subsets"
+    assert calls == []
+
+
+def _random_invertible(F, k, rng):
+    while True:
+        T = [[rng.randrange(F.q) for _ in range(k)] for _ in range(k)]
+        if rref_scalar(F, T)[1] == k:
+            return T
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.sampled_from([(7, 1), (3, 3), (3, 5)]), st.integers(0, 2**32), st.data())
+def test_stored_hull_matches_scalar_gram_rank(pe, seed, data):
+    F, rng = field(*pe), random.Random(seed)
+    kind = data.draw(st.sampled_from(["lcd", "rs", "grs", "signs", "zero", "full"]))
+    if kind == "lcd":
+        n = data.draw(st.integers(4, min(F.q + 1, 12)))
+        k = data.draw(st.integers(2, n // 2))
+        assume(lcdmds.applicable_conditions(F, n, k))
+        code = lcdmds.construct_auto(F, n, k).spec.generator()
+    elif kind == "rs":
+        # all q locators and one multiplier: the dual is the RS code of
+        # dimension q - k, so the hull has dimension min(k, q - k); k <= q / 2
+        # gives a self-orthogonal code, G Gt = 0
+        k = data.draw(st.integers(1, min(F.q, 12)))
+        code = GrsSpec(F, tuple(range(F.q)), (rng.randrange(1, F.q),) * F.q, k).generator()
+        assert code.hull_dimension() == min(k, F.q - k)
+    elif kind == "grs":
+        n = data.draw(st.integers(1, min(F.q, 10)))
+        k = data.draw(st.integers(1, n))
+        multipliers = tuple(rng.randrange(1, F.q) for _ in range(n))
+        code = GrsSpec(F, tuple(rng.sample(range(F.q), n)), multipliers, k).generator()
+    elif kind == "signs":  # entries in {0, 1, -1}, where hulls of every dimension occur
+        n = data.draw(st.integers(2, 8))
+        k = data.draw(st.integers(1, n))
+        gen = [[rng.choice((0, 1, F.neg(1))) for _ in range(n)] for _ in range(k)]
+        assume(rref_scalar(F, gen)[1] == k)
+        code = LinearCode(F, gen)
+    elif kind == "zero":
+        code = LinearCode(F, [], n=data.draw(st.integers(1, 6)))
+        assert code.hull_dimension() == 0
+    else:  # the full space: G is invertible, so G Gt is too
+        n = data.draw(st.integers(1, 6))
+        code = LinearCode(F, _random_invertible(F, n, rng))
+        assert code.hull_dimension() == 0
+    codes = [code]
+    if code.k:  # T G spans the same code, and T G (T G)t = T (G Gt) Tt
+        T = _random_invertible(F, code.k, rng)
+        codes.append(LinearCode(F, mat_mul_scalar(F, T, code.gen)))
+    for c in codes:
+        gram = mat_mul_scalar(F, c.gen, list(zip(*c.gen)))
+        assert c.hull_dimension() == c.k - rref_scalar(F, gram)[1] == code.hull_dimension()
+
+
+def test_array_generators_are_checked_once_and_copied():
+    F = field(3, 3)
+    given_ = GrsSpec(F, tuple(range(1, 9)), (1,) * 8, 3).generator().array.copy()
+    code = LinearCode(F, given_)
+    gen, verdict = code.gen, code.verdict()
+    assert code.array is not given_ and not code.array.flags.writeable
+    given_[:] = 0  # the caller's array is theirs to change
+    assert code.gen == gen and code.verdict() == verdict and code.array.any()
+    assert LinearCode(F, given_[:0], n=8).k == 0
+    with pytest.raises(ParameterError, match="dependent"):
+        LinearCode(F, given_)
+    bad = [
+        given_.astype(np.float64),
+        given_.astype(bool),
+        given_.astype(object),
+        given_.astype(np.int32),
+        given_[0],
+        given_[None],
+        np.full((2, 3), -1, dtype=np.int64),
+        np.full((2, 3), F.q, dtype=np.int64),
+        "not a matrix",
+        5,
+        {1: [1, 2]},
+    ]
+    for gen in bad:
+        with pytest.raises(ParameterError):
+            LinearCode(F, gen)
+
+
+def test_explicit_length_must_be_an_integer():
+    # int(n) would read 3.7 as 3 and True as 1
+    for n in (3.7, True, 3.0, "3"):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            LinearCode(F5, [], n=n)
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            LinearCode(F5, [[1, 2, 3]], n=n)
+    assert LinearCode(F5, [], n=3).n == LinearCode(F5, [[1, 2, 3]], n=3).n == 3
 
 
 def test_hull_equals_intersection_oracle():
