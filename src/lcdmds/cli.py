@@ -37,7 +37,7 @@ from .errors import (
     TheoremViolation,
 )
 from .fields import Field, field, prime_power
-from .linear import DEFAULT_BUDGET, LinearCode
+from .linear import DEFAULT_BUDGET, LinearCode, _generator_array, mds_route
 
 BUDGET_ENV = "LCDMDS_BUDGET"
 
@@ -73,15 +73,21 @@ def _budget(args) -> int:
     return budget
 
 
+def _construction_field(q: int) -> Field:
+    """GF(q), once q is an odd prime power above 3: checked before the tables are built."""
+    p, e = prime_power(q)
+    require_construction_field(p, q)
+    return field(p, e)
+
+
 # ---------- construct ----------
 
 THEOREM_BY_FLAG = {family.flag: family.tag for family in FAMILIES}
 
 
 def cmd_construct(args) -> int:
-    p, e = prime_power(args.q)
-    require_construction_field(p, p**e)  # before the tables are built
-    F = field(p, e)
+    budget = _budget(args)
+    F = _construction_field(args.q)
     tail = args.tail
     if tail is not None and len(tail) == 1:
         tail = tail[0]
@@ -95,7 +101,7 @@ def cmd_construct(args) -> int:
         theorem=THEOREM_BY_FLAG.get(args.theorem),
     )
     if not args.skip_verify:
-        verify_report(report, _budget(args))
+        verify_report(report, budget)
     if args.format == "json":
         sys.stdout.write(_dumps(report.to_dict()))
     else:
@@ -115,7 +121,9 @@ def cmd_construct(args) -> int:
 # ---------- verify ----------
 
 
-def _load_code(path: str) -> LinearCode:
+def _load_code(path: str, budget: int) -> LinearCode:
+    """The code of a JSON record: its field, elements, shape and n, then
+    mds_route, and only then G Gt and the elimination, so over budget is cheap."""
     try:
         if path == "-":
             data = json.load(sys.stdin)
@@ -125,16 +133,19 @@ def _load_code(path: str) -> LinearCode:
     except (OSError, ValueError, RecursionError) as exc:
         raise ParameterError(f"cannot read code file {path!r}: {exc}")
     try:
-        return LinearCode.from_dict(data)
+        F = Field.from_dict(data["field"])
+        G = _generator_array(F, data["generator"], data.get("n"))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, LcdMdsError):
             raise
         raise ParameterError(f"malformed code file {path!r}: {exc}")
+    mds_route(F.q, G.shape[1], len(G), budget)
+    return LinearCode(F, G)
 
 
 def cmd_verify(args) -> int:
     budget = _budget(args)
-    code = _load_code(args.input)
+    code = _load_code(args.input, budget)
     verdict = {"n": code.n, "k": code.k, **code.verdict(budget)}
     sys.stdout.write(_dumps(verdict))
     return EXIT_OK if (verdict["is_lcd"] and verdict["is_mds"]) else EXIT_VERDICT_FAIL
@@ -144,17 +155,9 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_cell(F: Field, n: int, k: int, budget: int):
-    row = {
-        "n": n,
-        "k": k,
-        "condition": "none",
-        "status": "no_construction",
-        "verified": False,
-        "hull_dimension": None,
-        "is_mds": None,
-        "mds_route": None,
-        "min_distance": None,
-    }
+    verdict_keys = ("hull_dimension", "is_mds", "mds_route", "min_distance")
+    row = {"n": n, "k": k, "condition": "none", "status": "no_construction", "verified": False}
+    row.update(dict.fromkeys(verdict_keys))
     start = perf_counter()
     try:
         report = construct_auto(F, n, k)
@@ -171,15 +174,13 @@ def _sweep_cell(F: Field, n: int, k: int, budget: int):
     v = report.verified
     if v is not None:
         row["verified"] = row["status"] == "ok"
-        for key in ("hull_dimension", "is_mds", "mds_route", "min_distance"):
+        for key in verdict_keys:
             row[key] = v[key]
     return row, perf_counter() - start
 
 
 def cmd_sweep(args) -> int:
-    p, e = prime_power(args.q)
-    require_construction_field(p, p**e)
-    F = field(p, e)
+    F = _construction_field(args.q)
     n_max = args.n_max if args.n_max is not None else F.q + 1
     if n_max > F.q + 1:
         raise ParameterError(f"--n-max cannot exceed q + 1 = {F.q + 1}")
@@ -318,20 +319,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    exit_codes = {
+        NoConstructionApplies: EXIT_NO_CONSTRUCTION,
+        TheoremViolation: EXIT_VIOLATION,
+        BudgetExceeded: EXIT_BUDGET,
+        ParameterError: EXIT_USAGE,
+        FieldMismatch: EXIT_USAGE,
+    }
     try:
         return args.func(args)
-    except NoConstructionApplies as exc:
+    except tuple(exit_codes) as exc:
         print(f"lcdmds: {exc}", file=sys.stderr)
-        return EXIT_NO_CONSTRUCTION
-    except TheoremViolation as exc:
-        print(f"lcdmds: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except BudgetExceeded as exc:
-        print(f"lcdmds: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ParameterError, FieldMismatch) as exc:
-        print(f"lcdmds: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in exit_codes.items() if isinstance(exc, kind))
 
 
 def entry() -> None:

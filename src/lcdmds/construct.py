@@ -11,7 +11,9 @@ dimension 1 < k <= floor(n/2) (larger k is covered by duality: the dual of an
 LCD MDS code is again one). FAMILIES, at the end of this module, is the one
 table of the families: each row's tag, CLI flag, parameter condition and
 builder, in the order construct_auto tries them. Each builder checks its
-parameters against its own row, through applicable_conditions.
+parameters against its own row, through applicable_conditions, which owns
+the shared rules (integer n and k among them); Field.additive_subgroup owns
+the prime-power builder's subgroup degree.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NoConstructionApplies, ParameterError, TheoremViolation
-from .fields import Field
+from .fields import Field, json_int
 from .grs import GrsSpec, difference_products, dual_multipliers
 from .linear import DEFAULT_BUDGET, mds_route
 
@@ -88,12 +90,10 @@ def construct_extended(F: Field, k: int, gamma=None, permutation=None) -> Constr
     locators = _labeling(F, permutation)
     if gamma is None:
         gamma = F.primitive_element
-    else:
-        gamma = F.check(gamma)
-        if F.multiplicative_order(gamma) != q - 1:
-            raise ParameterError(
-                f"gamma = {gamma} is not primitive (order {F.multiplicative_order(gamma)})"
-            )
+    elif F.multiplicative_order(gamma) != q - 1:  # which checks the element
+        raise ParameterError(
+            f"gamma = {gamma} is not primitive (order {F.multiplicative_order(gamma)})"
+        )
     if 2 * k == q + 1:
         case = 2
         ones = k - 1
@@ -139,11 +139,9 @@ def construct_prime_power(F: Field, level: int, k: int, gamma=None) -> Construct
     and recorded in the report. The scaling element gamma only needs
     gamma^2 != 1.
     """
-    if not 1 <= level <= F.e:
-        raise ParameterError(f"subgroup degree must be in 1..{F.e}, got {level}")
-    n = F.p**level
-    _require_family(THEOREM_PRIME_POWER, F, n, k)
     subgroup = F.additive_subgroup(level)
+    n = len(subgroup)
+    _require_family(THEOREM_PRIME_POWER, F, n, k)
     gamma = _square_free_unit(F, gamma, "gamma")
     v = (1,) * (n - k) + (gamma,) * k
     spec = GrsSpec(F, tuple(subgroup), v, k)
@@ -207,14 +205,6 @@ def construct_window(F: Field, n: int, k: int, permutation=None) -> Construction
     return ConstructionReport(THEOREM_WINDOW, spec, params)
 
 
-def _prime_power_level(F: Field, n: int) -> int | None:
-    m, level = n, 0
-    while m % F.p == 0:
-        m //= F.p
-        level += 1
-    return level if m == 1 and 1 <= level <= F.e else None
-
-
 @dataclass(frozen=True)
 class Family:
     """One covered family. applies(F, n, k) assumes the shared boundary checks
@@ -242,9 +232,9 @@ FAMILIES = (
     ),
     Family(
         THEOREM_PRIME_POWER, "prime-power", "n = p^l with 1 <= l <= e", ("gamma",),
-        lambda F, n, k: _prime_power_level(F, n) is not None,
+        lambda F, n, k: F.q % n == 0,  # n >= 4 here, and p^e's divisors above 1 are the p^l
         lambda F, n, k, **kw: construct_prime_power(
-            F, _prime_power_level(F, n), k, **kw
+            F, next(level for level in range(1, F.e + 1) if F.p**level == n), k, **kw
         ),
     ),
     Family(
@@ -265,10 +255,11 @@ ALL_THEOREMS = tuple(family.tag for family in FAMILIES)
 def applicable_conditions(F: Field, n: int, k: int) -> list[str]:
     """Tags of every family whose parameter condition holds, in dispatch order.
 
-    First runs the boundary checks every family shares (odd q > 3,
-    n <= q + 1, 1 < k <= n/2) and raises ParameterError if one fails.
+    First runs the boundary checks every family shares (odd q > 3, integer
+    n <= q + 1 and integer 1 < k <= n/2) and raises ParameterError if one fails.
     """
     require_construction_field(F.p, F.q)
+    n, k = json_int(n, "n"), json_int(k, "k")
     if n > F.q + 1:
         raise ParameterError(f"n = {n} exceeds q + 1 = {F.q + 1}")
     if not 1 < k <= n // 2:

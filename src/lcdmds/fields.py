@@ -309,7 +309,7 @@ class Field:
         Under the canonical labeling these are exactly the indices below
         p^level, so the subgroup is closed under addition by construction.
         """
-        if not 1 <= level <= self.e:
+        if not 1 <= json_int(level, "subgroup degree") <= self.e:
             raise ParameterError(f"subgroup degree must be in 1..{self.e}, got {level}")
         return list(range(self.p**level))
 

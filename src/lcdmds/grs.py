@@ -21,9 +21,10 @@ Every multiplier the constructions need, the u_i above among them, is a
 product of differences of locators; difference_products computes each one
 as a sum of logs on the field's tables.
 
-Locators, multipliers and messages are checked when a GrsSpec or Poly is
-made, so the dual multipliers and the point lists of codeword and in_dual
-are computed unchecked on the field's tables.
+A GrsSpec checks its locators, multipliers, k and extended flag when it is
+made (from_dict only unpacks), and a Poly its messages, so the dual
+multipliers and the point lists of codeword and in_dual are computed
+unchecked on the field's tables.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ class GrsSpec:
     extended: bool = False
 
     def __post_init__(self):
+        if self.extended.__class__ is not bool:
+            raise ParameterError(f"extended must be true or false, got {self.extended!r}")
+        json_int(self.k, "k")
         F = self.field
         locs = tuple(F.check(a) for a in self.locators)
         mults = tuple(F.check(v) for v in self.multipliers)
@@ -175,14 +179,10 @@ class GrsSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GrsSpec":
-        F = Field.from_dict(d["field"])
-        extended = d.get("extended", False)
-        if extended.__class__ is not bool:
-            raise ParameterError(f"extended must be true or false, got {extended!r}")
         return cls(
-            F,
+            Field.from_dict(d["field"]),
             tuple(d["locators"]),
             tuple(d["multipliers"]),
-            json_int(d["k"], "k"),
-            extended,
+            d["k"],
+            d.get("extended", False),
         )

@@ -7,11 +7,13 @@ check, LinearCode.mds_check, whose two named routes mds_route picks from
 which also gives the minimum distance, and column subsets, every k-column
 submatrix nonsingular, by eliminations shared along a prefix tree.
 _matrix checks a list of rows element by element, or an int64 array by one
-range test. A LinearCode keeps its generator G as a read-only array and
-row-reduces once, [G Gt | G]: G Gt lies in the column space of G, so there
-are k pivots iff the rows are independent, and the pivots among the first k
-columns count rank(G Gt), which gives the hull dimension k - rank(G Gt)
-(Massey 1992). Each pivot is one fused FieldArrays.submul, A - column x row.
+range test; _generator_array adds every generator rule but the rank, so a
+caller can meet the budget before any elimination. A LinearCode keeps its
+generator G as a read-only array and row-reduces once, [G Gt | G]: G Gt lies
+in the column space of G, so there are k pivots iff the rows are
+independent, and the pivots among the first k columns count rank(G Gt),
+which gives the hull dimension k - rank(G Gt) (Massey 1992). Each pivot is
+one fused FieldArrays.submul, A - column x row.
 """
 
 from __future__ import annotations
@@ -86,6 +88,23 @@ def _matrix(field: Field, rows):
     return np.array(out, dtype=np.int64).reshape(len(out), len(out[0]) if out else 0)
 
 
+def _generator_array(field: Field, gen, n):
+    """gen as a new (k, n) int64 array, checked by every LinearCode rule but the rank."""
+    n = n if n is None else json_int(n, "n")
+    G = _matrix(field, gen)
+    k = len(G)
+    if n is None and not k:
+        raise ParameterError("zero-dimensional code needs an explicit length")
+    length = G.shape[1] if k else n
+    if n is not None and n != length:
+        raise ParameterError("explicit length disagrees with the generator")
+    if length < 1:
+        raise ParameterError("code length must be positive")
+    if k > length:
+        raise ParameterError("more generator rows than the length allows")
+    return G.reshape(k, length)
+
+
 def rref(field: Field, rows):
     """Reduced row echelon form.
 
@@ -154,19 +173,8 @@ class LinearCode:
     """
 
     def __init__(self, field: Field, gen, n: int | None = None):
-        n = n if n is None else json_int(n, "n")
-        G = _matrix(field, gen)
-        k = len(G)
-        if n is None and not k:
-            raise ParameterError("zero-dimensional code needs an explicit length")
-        length = G.shape[1] if k else n
-        if n is not None and n != length:
-            raise ParameterError("explicit length disagrees with the generator")
-        if length < 1:
-            raise ParameterError("code length must be positive")
-        if k > length:
-            raise ParameterError("more generator rows than the length allows")
-        G = G.reshape(k, length)
+        G = _generator_array(field, gen, n)
+        k, length = G.shape
         _, pivots = _rref(field, np.hstack((_product(field, G, G.T), G)))
         if len(pivots) != k:
             raise ParameterError("generator rows are linearly dependent")

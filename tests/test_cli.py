@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from time import perf_counter
 
@@ -8,6 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lcdmds.cli
+import lcdmds.linear
+from lcdmds import (
+    BudgetExceeded,
+    FieldMismatch,
+    NoConstructionApplies,
+    ParameterError,
+    TheoremViolation,
+)
 from lcdmds.cli import build_parser, main
 
 pytestmark = pytest.mark.usefixtures("clean_budget_env")
@@ -115,6 +125,37 @@ def test_construct_skip_verify(capsys):
     )
     assert rc == 0
     assert json.loads(out)["verified"] is None
+
+
+def test_construct_reads_its_budget_before_it_builds(capsys, monkeypatch):
+    # with or without --skip-verify, which never reaches the budget otherwise
+    builds = []
+    monkeypatch.setattr(lcdmds.cli, "construct_auto", lambda *a, **kw: builds.append(a))
+    argv = ("construct", "--q", "7", "--n", "6", "--k", "3")
+    for skip in ((), ("--skip-verify",)):
+        rc, out, err = run(capsys, *argv, *skip, "--budget", "-1")
+        assert rc == 2 and out == "" and "--budget must not be negative, got -1" in err
+        monkeypatch.setenv("LCDMDS_BUDGET", "junk")
+        rc, out, err = run(capsys, *argv, *skip)
+        assert rc == 2 and out == "" and "LCDMDS_BUDGET must be an integer" in err
+        monkeypatch.delenv("LCDMDS_BUDGET")
+    assert builds == []
+
+
+@pytest.mark.parametrize("error, code", [
+    (NoConstructionApplies, 3),
+    (TheoremViolation, 4),
+    (BudgetExceeded, 5),
+    (ParameterError, 2),
+    (FieldMismatch, 2),
+])
+def test_each_error_class_exits_with_its_documented_code(capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error("planted failure")
+
+    monkeypatch.setattr(lcdmds.cli, "construct_auto", fail)
+    rc, out, err = run(capsys, "construct", "--q", "5", "--n", "4", "--k", "2")
+    assert (rc, out, err) == (code, "", "lcdmds: planted failure\n")
 
 
 def test_verify_negative_verdict_exit_1(capsys, tmp_path):
@@ -263,8 +304,8 @@ def test_construct_over_budget_exits_5_with_a_short_message(capsys):
 
 
 def test_verify_over_budget_report_exits_5_at_once(capsys, tmp_path):
-    # the unverified report's generator and verify's full-rank check row-reduce
-    # a 100 x 244 matrix over GF(243) before the budget stops the MDS check
+    # the unverified report's generator row-reduces a 100 x 244 matrix over
+    # GF(243); verify meets the budget before its own elimination
     start = perf_counter()
     rc, out, _ = run(capsys, "construct", "--q", "243", "--n", "244", "--k", "100",
                      "--skip-verify")
@@ -274,6 +315,59 @@ def test_verify_over_budget_report_exits_5_at_once(capsys, tmp_path):
     rc, out, err = run(capsys, "verify", str(path), "--budget", "20000")
     assert perf_counter() - start < 1
     assert rc == 5 and out == "" and "MDS check" in err
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The name of each linear._product and linear._rref call while the test runs."""
+    calls = []
+    for name in ("_product", "_rref"):
+        def spy(*args, _name=name, _original=getattr(lcdmds.linear, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(lcdmds.linear, name, spy)
+    return calls
+
+
+def test_verify_meets_the_budget_before_any_elimination(capsys, tmp_path, eliminations):
+    def verify(record, *budget):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(record))
+        return run(capsys, "verify", str(path), *budget)
+
+    # [I | random] over GF(9) has full rank, and neither 9^20 codewords nor
+    # C(40, 20) column subsets fit a budget of 10
+    rng = random.Random(7)
+    gen = [[int(i == j) for j in range(20)] + [rng.randrange(9) for _ in range(20)]
+           for i in range(20)]
+    gf9 = {"p": 3, "e": 2}
+    rc, out, err = verify({"field": gf9, "generator": gen}, "--budget", "10")
+    assert rc == 5 and out == "" and "MDS check" in err
+    assert eliminations == []
+    # the record's own checks still come first, and keep exit 2
+    bad = [row[:] for row in gen]
+    bad[3][25] = 9
+    for record, message in (
+        ({"field": gf9, "generator": bad}, "9 is not an element index of GF(9)"),
+        ({"field": gf9, "generator": gen[:-1] + [gen[-1][:-1]]}, "rows have unequal lengths"),
+        ({"field": gf9, "generator": gen, "n": 41}, "explicit length disagrees"),
+        ({"field": gf9, "generator": []}, "zero-dimensional code needs an explicit length"),
+        ({"field": gf9, "generator": [], "n": 4}, "zero-dimensional code has no MDS predicate"),
+    ):
+        for budget in (("--budget", "10"), ()):
+            rc, out, err = verify(record, *budget)
+            assert rc == 2 and out == "" and message in err, record
+    assert eliminations == []
+    # the rank check is the elimination, so it too waits for the budget: a
+    # rank-deficient record over budget exits 5, and within budget 2
+    dependent = {"field": gf9, "generator": gen[:-1] + [gen[0]]}
+    rc, out, err = verify(dependent, "--budget", "10")
+    assert rc == 5 and out == "" and "MDS check" in err
+    assert eliminations == []
+    rc, out, err = verify({"field": {"p": 5, "e": 1}, "generator": [[1, 2, 3], [2, 4, 1]]})
+    assert rc == 2 and out == "" and "generator rows are linearly dependent" in err
+    assert eliminations == ["_product", "_rref"]
 
 
 def test_budget_env_var(capsys, tmp_path, monkeypatch):

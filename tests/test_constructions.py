@@ -392,3 +392,23 @@ def test_report_dict_carries_code_and_field():
     # rows v_i and v_i * a_i over a = (1, 2, 4, 3), v = (1, 1, 1, 2): 2*3 = 6 = 1
     assert d["generator"] == [[1, 1, 1, 2], [1, 2, 4, 1]]
     assert d["verified"] is None
+
+
+F27 = field(3, 3)
+
+
+@pytest.mark.parametrize("build, args", [
+    (construct_extended, (F7, 3)),
+    (construct_divisor, (F7, 6, 3)),
+    (construct_prime_power, (F27, 2, 4)),  # (level, k)
+    (construct_large_nk, (F7, 6, 2)),
+    (construct_window, (F7, 4, 2)),
+    (construct_auto, (F7, 6, 3)),
+])
+def test_builders_take_integer_lengths_dimensions_and_levels_only(build, args):
+    assert build(*args).spec.generator().k == args[-1]
+    for i in range(1, len(args)):
+        for wrong in (float(args[i]), True):
+            bad = args[:i] + (wrong,) + args[i + 1 :]
+            with pytest.raises(ParameterError, match="must be an integer"):
+                build(*bad)

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -359,3 +360,23 @@ def test_spec_extended_must_be_a_json_bool():
     for spec, value in ((ext, "no"), (ext, 1), (plain, 0), (plain, None), (plain, "false")):
         with pytest.raises(ParameterError, match="extended must be true or false"):
             GrsSpec.from_dict({**spec.to_dict(), "extended": value})
+
+
+def test_spec_checks_k_and_extended_when_made():
+    # the rules live in GrsSpec itself, so a spec made in code meets the same
+    # ones as a JSON record
+    locs, mults = tuple(range(5)), (1, 1, 2, 2, 2)
+    for k in (2.0, True, "2"):
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            GrsSpec(F5, locs, mults, k)
+    for extended in (1, "yes"):
+        with pytest.raises(ParameterError, match="extended must be true or false"):
+            GrsSpec(F5, locs, mults, 3, extended=extended)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(grs_specs(orders=((5, 1), (7, 1), (2, 3), (3, 2), (3, 3))))
+def test_valid_specs_round_trip_through_their_records(spec):
+    for s in (spec, spec.dual()) if spec.k < spec.length else (spec,):
+        record = json.loads(json.dumps(s.to_dict()))
+        assert GrsSpec.from_dict(record) == s
