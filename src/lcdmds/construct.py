@@ -11,9 +11,10 @@ dimension 1 < k <= floor(n/2) (larger k is covered by duality: the dual of an
 LCD MDS code is again one). FAMILIES, at the end of this module, is the one
 table of the families: each row's tag, CLI flag, parameter condition and
 builder, in the order construct_auto tries them. Each builder checks its
-parameters against its own row, through applicable_conditions, which owns
-the shared rules (integer n and k among them); Field.additive_subgroup owns
-the prime-power builder's subgroup degree.
+parameters against the shared rules (integer n and k among them) and its own
+row's condition alone; only construct_auto with no family named evaluates
+every row, once. Field.additive_subgroup owns the prime-power builder's
+subgroup degree.
 """
 
 from __future__ import annotations
@@ -252,12 +253,9 @@ FAMILIES = (
 ALL_THEOREMS = tuple(family.tag for family in FAMILIES)
 
 
-def applicable_conditions(F: Field, n: int, k: int) -> list[str]:
-    """Tags of every family whose parameter condition holds, in dispatch order.
-
-    First runs the boundary checks every family shares (odd q > 3, integer
-    n <= q + 1 and integer 1 < k <= n/2) and raises ParameterError if one fails.
-    """
+def _require_shared(F: Field, n: int, k: int) -> None:
+    """The boundary checks every family shares: odd q > 3, integer n <= q + 1
+    and integer 1 < k <= n/2; ParameterError if one fails."""
     require_construction_field(F.p, F.q)
     n, k = json_int(n, "n"), json_int(k, "k")
     if n > F.q + 1:
@@ -266,17 +264,23 @@ def applicable_conditions(F: Field, n: int, k: int) -> list[str]:
         raise ParameterError(
             f"k = {k} out of range: need 1 < k <= floor(n/2) = {n // 2} for n = {n}"
         )
+
+
+def applicable_conditions(F: Field, n: int, k: int) -> list[str]:
+    """Tags of every family whose parameter condition holds, in dispatch order,
+    once the shared boundary checks pass."""
+    _require_shared(F, n, k)
     return [family.tag for family in FAMILIES if family.applies(F, n, k)]
 
 
 def _require_family(tag: str, F: Field, n: int, k: int) -> Family:
-    """The family tagged tag, once applicable_conditions' boundary checks pass
-    and its own condition holds for (n, k); else ParameterError."""
-    applicable = applicable_conditions(F, n, k)
+    """The family tagged tag, once the shared boundary checks and its own
+    condition pass for (n, k), evaluating no other row; else ParameterError."""
+    _require_shared(F, n, k)
     family = next((f for f in FAMILIES if f.tag == tag), None)
     if family is None:
         raise ParameterError(f"unknown theorem tag {tag!r}")
-    if tag not in applicable:
+    if not family.applies(F, n, k):
         raise ParameterError(
             f"{tag} needs {family.condition}; got q = {F.q}, n = {n}, k = {k}"
         )

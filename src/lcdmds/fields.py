@@ -11,8 +11,10 @@ Each field builds one set of tables, keyed to the first primitive element g
 in canonical order: exp and log (log 0 is a sentinel that lands in a zero
 tail of exp, so a product needs no zero test), inverses, negatives and the
 Zech logarithm Z(m) = log(1 + g^m), which adds in an extension field through
-g^x + g^y = g^(x + Z(y - x)) (Huber, IEEE T-IT 36(4), 1990). Prime fields
-add modulo p. The order cap q <= 2^16 keeps the tables manageable.
+g^x + g^y = g^(x + Z(y - x)) (Huber, IEEE T-IT 36(4), 1990); prime fields
+add modulo p. Each layer adds by one fused step a - b c, by the same formula:
+Field._submul on scalars and FieldArrays.submul on arrays. The order cap
+q <= 2^16 keeps the tables manageable.
 
 The tables come from exact int64 array arithmetic, with no loop over the
 elements: multiplying by c maps digit rows through an e x e matrix over GF(p),
@@ -26,7 +28,7 @@ FieldArrays applies the same arithmetic element-wise to numpy arrays of
 element indices, for kernels that work on many matrices at once. It holds
 the arrays the tables were computed as (the Zech table twice over) and
 builds none of its own; the scalar operations read the same tables as Python
-lists. One fused step, a - b c, makes every difference and elimination step.
+lists.
 """
 
 from __future__ import annotations
@@ -236,35 +238,31 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         self.check(a), self.check(b)
-        return self._add(a, b)
+        return self._submul(a, self.p - 1, b)  # p - 1 is the element -1
 
     def sub(self, a: int, b: int) -> int:
         self.check(a), self.check(b)
-        return self._sub(a, b)
+        return self._submul(a, 1, b)
 
-    # _add, _sub, _mul and the _inv and _neg lists take elements without a
+    # _submul, _mul and the _inv and _neg lists take elements without a
     # check: they serve loops whose operands were checked where they entered.
 
-    def _add(self, a: int, b: int) -> int:
+    def _submul(self, a: int, b: int, c: int) -> int:
+        """a - b c, the one scalar addition, by the formula of FieldArrays.submul."""
         if self.e == 1:
-            return (a + b) % self.p
-        return self._zech_add(a, b)
-
-    def _sub(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a - b) % self.p
-        return self._zech_add(a, self._neg[b])
+            return (a + (self.p - b) * c) % self.p
+        log, q1 = self._log, self.q - 1
+        lb = log[self._neg[b]] + log[c]
+        if lb >= 2 * q1:  # b c = 0: the sentinel log 0 is 2(q - 1)
+            return a
+        if not a:
+            return self._exp[lb]
+        # g^x + g^y = g^(x + Z(y - x)); 1 + g^m = 0 lands in the zero tail of exp
+        la = log[a]
+        return self._exp[la + self._zech[(lb - la) % q1]]
 
     def _mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]]
-
-    def _zech_add(self, a: int, b: int) -> int:
-        # g^x + g^y = g^(x + Z(y - x)); Z is indexed mod q - 1 by Python's
-        # negative indexing, and 1 + g^m = 0 lands in the zero tail of exp
-        if not a or not b:
-            return a or b
-        x = self._log[a]
-        return self._exp[x + self._zech[self._log[b] - x]]
 
     def neg(self, a: int) -> int:
         return self._neg[self.check(a)]
@@ -281,6 +279,7 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, m: int) -> int:
+        m = json_int(m, "exponent")
         if self.check(a) == 0:
             if m == 0:
                 return 1
@@ -299,7 +298,7 @@ class Field:
 
     def nth_root_of_unity(self, n: int) -> int:
         """Element of multiplicative order exactly n; requires n | q - 1."""
-        if n < 1 or (self.q - 1) % n != 0:
+        if json_int(n, "root order") < 1 or (self.q - 1) % n != 0:
             raise ParameterError(f"{n} does not divide q - 1 = {self.q - 1}")
         return self._exp[((self.q - 1) // n) % (self.q - 1)]
 

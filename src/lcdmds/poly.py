@@ -6,7 +6,7 @@ like deg g <= n - k - 1 hold for it uniformly.
 
 Elements are checked where they enter (the coefficients given to Poly, the x
 given to eval, the points given to interpolate), and the Horner and
-divided-difference loops then run unchecked on the field's tables.
+divided-difference loops then run unchecked, one Field._submul (a - b c) a step.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .fields import Field
+from .fields import Field, json_int
 
 NEG_INF = float("-inf")
 
@@ -40,16 +40,15 @@ class Poly:
     def eval(self, x: int) -> int:
         """Horner evaluation at a field element."""
         F = self.field
-        F.check(x)
-        add, mul = F._add, F._mul
+        submul, nx = F._submul, F._neg[F.check(x)]
         acc = 0
         for c in reversed(self.coeffs):
-            acc = add(mul(acc, x), c)
+            acc = submul(c, acc, nx)  # c + acc x
         return acc
 
     def coeff(self, i: int) -> int:
         """Coefficient of X^i; zero beyond the degree."""
-        if i < 0:
+        if json_int(i, "coefficient index") < 0:
             raise ParameterError("coefficient index must be nonnegative")
         return self.coeffs[i] if i < len(self.coeffs) else 0
 
@@ -75,20 +74,17 @@ def interpolate(field: Field, points) -> Poly:
         raise ParameterError("duplicate interpolation node")
     ys = [field.check(y) for _, y in pts]
 
-    add, sub, mul, inv = field._add, field._sub, field._mul, field._inv
+    submul, mul, inv = field._submul, field._mul, field._inv
     m = len(pts)
     d = list(ys)
     for j in range(1, m):
         for i in range(m - 1, j - 1, -1):
-            d[i] = mul(sub(d[i], d[i - 1]), inv[sub(xs[i], xs[i - j])])
-    # Horner-expand the Newton form into plain coefficients
+            d[i] = mul(submul(d[i], 1, d[i - 1]), inv[submul(xs[i], 1, xs[i - j])])
+    # Horner-expand the Newton form: multiply by X - x_j, then add d_j
     out = [0] * m
     out[0] = d[m - 1]
-    deg = 0
     for j in range(m - 2, -1, -1):
-        nx = field._neg[xs[j]]
-        deg += 1
-        for t in range(deg, 0, -1):
-            out[t] = add(out[t - 1], mul(out[t], nx))
-        out[0] = add(mul(out[0], nx), d[j])
+        for t in range(m - 1 - j, 0, -1):
+            out[t] = submul(out[t - 1], out[t], xs[j])
+        out[0] = submul(d[j], out[0], xs[j])
     return Poly(field, out)

@@ -170,6 +170,20 @@ def digit_add(F, a, b):
     return total
 
 
+def digit_mul(p, modulus, a, b):
+    """The index of a b in GF(p)[X]/(modulus), one digit product at a time."""
+    e = len(modulus) - 1
+    da, db = ([x // p**i % p for i in range(e)] for x in (a, b))
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for t in range(2 * e - 2, e - 1, -1):  # x^t = x^(t - e) (x^e - modulus)
+        for j in range(e):
+            prod[t - e + j] -= prod[t] * modulus[j]
+    return sum(c % p * p**i for i, c in enumerate(prod[:e]))
+
+
 def digit_neg(F, a):
     """-a by negating each base-p digit mod p."""
     p, total, weight = F.p, 0, 1
@@ -244,14 +258,7 @@ def field_tables_scalar(p, e, modulus):
         return sum(c % p * p**i for i, c in enumerate(coeffs))
 
     def mul(a, b):
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(digits(a)):
-            for j, y in enumerate(digits(b)):
-                prod[i + j] += x * y
-        for t in range(2 * e - 2, e - 1, -1):  # x^t = x^(t - e) (x^e - modulus)
-            for j in range(e):
-                prod[t - e + j] -= prod[t] * modulus[j]
-        return index(prod[:e])
+        return digit_mul(p, modulus, a, b)
 
     def power(a, m):
         out = 1

@@ -27,7 +27,8 @@ from lcdmds import (
     field_from_order,
     verify_report,
 )
-from lcdmds.cli import build_parser
+from lcdmds import construct
+from lcdmds.cli import build_parser, main
 from lcdmds.construct import (
     FAMILIES,
     THEOREM_DIVISOR,
@@ -283,6 +284,23 @@ def test_applicable_conditions_lists_all_matches():
     # n = q only matches the prime-power family (condition 4 needs n < q)
     assert applicable_conditions(F5, 5, 2) == [THEOREM_PRIME_POWER]
     assert applicable_conditions(F9, 8, 4) == [THEOREM_DIVISOR, THEOREM_LARGE_NK]
+
+
+def test_family_conditions_run_once_per_build(monkeypatch):
+    # every row's condition is evaluated once per swept cell, and never when
+    # a family is named: the builders test only their own row
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return applicable_conditions(*args)
+
+    monkeypatch.setattr(construct, "applicable_conditions", spy)
+    assert main(["sweep", "--q", "13"]) == 0
+    assert len(calls) == 36
+    calls.clear()
+    construct_auto(field(13), 12, 3, theorem=THEOREM_DIVISOR)
+    assert calls == []
 
 
 # ---------- the family table ----------

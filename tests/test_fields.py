@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     digit_add,
+    digit_mul,
     digit_neg,
     field_tables_scalar,
     is_irreducible_by_trial_division,
     multiplicative_order_brute,
 )
-from lcdmds import Field, GrsSpec, LinearCode, ParameterError, field, field_from_order, fields
+from lcdmds import Field, GrsSpec, LinearCode, ParameterError, Poly, field, field_from_order, fields
 from lcdmds.fields import find_modulus, is_irreducible, is_prime, prime_factors
 
 
@@ -169,10 +170,64 @@ def submul_operands(draw):
 @given(submul_operands())
 def test_submul_matches_scalar_sub_mul(case):
     F, a, b, c = case
-    expected = [F._sub(int(x), F._mul(int(y), int(z))) for x, y, z in np.broadcast(a, b, c)]
+    expected = [F.sub(int(x), F.mul(int(y), int(z))) for x, y, z in np.broadcast(a, b, c)]
     out = F.arrays.submul(a, b, c)
     assert out.shape == np.broadcast(a, b, c).shape
     assert out.ravel().tolist() == expected
+
+
+SUBMUL_FIELDS = [(5, 1), (3, 2), (5, 2), (3, 3), (3, 7), (127, 2), (2, 16)]
+
+
+def submul_triples(F):
+    """Every (a, b, c) when q <= 27; else 10,000 seeded triples, with a zero
+    operand in three of each eight and b c = a, where the Zech index lands on
+    its sentinel 1 + g^m = 0, in one more."""
+    if F.q <= 27:
+        return list(product(range(F.q), repeat=3))
+    rng = random.Random(F.q)
+    out = []
+    for i in range(10_000):
+        a, b, c = (rng.randrange(F.q) for _ in range(3))
+        kind = i % 8
+        if kind < 3:
+            a, b, c = [(0, b, c), (a, 0, c), (a, b, 0)][kind]
+        elif kind == 3:
+            a = digit_mul(F.p, F.modulus, b, c)
+        out.append((a, b, c))
+    return out
+
+
+@pytest.mark.parametrize("p,e", SUBMUL_FIELDS)
+def test_scalar_submul_matches_digit_reference(p, e):
+    F = field(p, e)
+    for a, b, c in submul_triples(F):
+        bc = digit_mul(F.p, F.modulus, b, c)
+        assert F._submul(a, b, c) == digit_add(F, a, digit_neg(F, bc)), (a, b, c)
+
+
+@pytest.mark.parametrize("p,e", SUBMUL_FIELDS)
+def test_array_submul_matches_scalar_submul(p, e):
+    F = field(p, e)
+    triples = submul_triples(F)
+    a, b, c = np.array(triples, dtype=np.int64).T
+    assert F.arrays.submul(a, b, c).tolist() == [F._submul(*t) for t in triples]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda F: F.pow(3, 2.5), id="pow-float"),
+        pytest.param(lambda F: F.pow(3, True), id="pow-bool"),
+        pytest.param(lambda F: F.nth_root_of_unity(2.0), id="root-float"),
+        pytest.param(lambda F: F.nth_root_of_unity("3"), id="root-str"),
+        pytest.param(lambda F: F.nth_root_of_unity(True), id="root-bool"),
+        pytest.param(lambda F: Poly(F, (1, 2)).coeff(1.0), id="coeff-float"),
+    ],
+)
+def test_integer_arguments_reject_non_integers(call):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call(field(7))
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (2, 4)])
