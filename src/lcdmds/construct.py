@@ -166,20 +166,20 @@ def construct_large_nk(F: Field, n: int, k: int, permutation=None) -> Constructi
 
     The first q - k multipliers are 1. Each remaining coordinate i gets the
     first canonical nonzero c with -c^2 * prod(a_i - x over excluded x)
-    different from u_i; squares take (q - 1)/2 >= 2 distinct values, so the
-    search cannot fail.
+    different from u_i, computed for those coordinates alone; squares take
+    (q - 1)/2 >= 2 distinct values, so the search cannot fail.
     """
     q = F.q
     _require_family(THEOREM_LARGE_NK, F, n, k)
     labeling = _labeling(F, permutation)
     locators = labeling[:n]
     excluded = labeling[n:]
-    u = dual_multipliers(F, locators)
+    u = F.arrays.inv[difference_products(F, locators[q - k :], locators)].tolist()
     v = [1] * n
     chosen = []
     prods = difference_products(F, locators[q - k :], excluded).tolist()
-    for i, prod in enumerate(prods, q - k):
-        c = next((c for c in range(1, q) if F.neg(F.mul(F.mul(c, c), prod)) != u[i]), None)
+    for i, prod, ui in zip(range(q - k, n), prods, u):
+        c = next((c for c in range(1, q) if F.neg(F.mul(F.mul(c, c), prod)) != ui), None)
         if c is None:
             raise TheoremViolation(f"no valid multiplier exists for coordinate {i + 1}")
         v[i] = c

@@ -19,7 +19,7 @@ null-space machinery in linear.py.
 
 Every multiplier the constructions need, the u_i above among them, is a
 product of differences of locators; difference_products computes each one
-as a sum of logs on the field's tables.
+as a sum of logs on the field's tables, in batches of linear.BATCH_ENTRIES.
 
 A GrsSpec checks its locators, multipliers, k and extended flag when it is
 made (from_dict only unpacks), and a Poly its messages, so the dual
@@ -34,24 +34,24 @@ from functools import cached_property
 
 import numpy as np
 
+from . import linear
 from .errors import FieldMismatch, ParameterError
 from .fields import Field, json_int
-from .linear import LinearCode
 from .poly import Poly, interpolate
 
 
 def difference_products(F: Field, points, others) -> np.ndarray:
     """For each point a, the product of (a - x) over the x in others with x != a.
 
-    One FieldArrays.submul makes every difference; each product is a row sum of
-    their logs mod q - 1 and one exp lookup, in which the x = a terms drop out
-    with no mask, as log 0 = 2(q - 1). The caller checks the elements.
+    One FieldArrays.submul per batch of points makes their differences; each
+    product is a row sum of their logs mod q - 1 and one exp lookup, in which
+    the x = a terms drop out with no mask, as log 0 = 2(q - 1). The caller checks.
     """
-    arrays = F.arrays
+    arrays, x = F.arrays, np.array(others, dtype=np.int64)
     a = np.array(points, dtype=np.int64)[:, None]
-    x = np.array(others, dtype=np.int64)[None, :]
-    logs = arrays.log[arrays.submul(a, 1, x)]
-    return arrays.exp[logs.sum(axis=1) % arrays.q1]
+    step = max(1, linear.BATCH_ENTRIES // max(1, x.size))
+    logs = (arrays.log[arrays.submul(a[i : i + step], 1, x)] for i in range(0, len(a) or 1, step))
+    return arrays.exp[np.concatenate([d.sum(axis=1) for d in logs]) % arrays.q1]
 
 
 def dual_multipliers(F: Field, locators) -> tuple[int, ...]:
@@ -105,7 +105,7 @@ class GrsSpec:
         """Code length: n, or q + 1 for extended specs."""
         return self.n + 1 if self.extended else self.n
 
-    def generator(self) -> LinearCode:
+    def generator(self) -> linear.LinearCode:
         """The k x length Vandermonde-with-multipliers generator matrix.
 
         Built once per spec; every call returns the same LinearCode.
@@ -113,7 +113,7 @@ class GrsSpec:
         return self._generator
 
     @cached_property
-    def _generator(self) -> LinearCode:
+    def _generator(self) -> linear.LinearCode:
         arrays = self.field.arrays
         multipliers = np.array(self.multipliers, dtype=np.int64)
         locators = np.array(self.locators, dtype=np.int64)
@@ -124,7 +124,7 @@ class GrsSpec:
             powers = arrays.mul(powers, locators)
         if self.extended:
             rows[-1, -1] = 1
-        return LinearCode(self.field, rows)
+        return linear.LinearCode(self.field, rows)
 
     def _scaled_values(self, f: Poly, scale) -> list[int]:
         """(s_1 f(a_1), ..., s_n f(a_n)) for a message f of degree < k."""

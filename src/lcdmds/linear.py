@@ -33,12 +33,9 @@ DEFAULT_BUDGET = 10**6
 ROUTE_ENUMERATION = "enumeration"
 ROUTE_COLUMN_SUBSETS = "column_subsets"
 
-# Entries per depth of the column-subset kernel: it extends at most
-# max(1, SUBSET_BATCH_ENTRIES // (r w)) prefixes at a time, where the chunk
-# carries r reduced rows over w live columns (w <= n), which bounds its
-# working set whatever C(n, k).
-SUBSET_BATCH_ENTRIES = 1 << 13
-PRODUCT_BATCH_ENTRIES = 1 << 20  # products per chunk of an extension-field _product
+# Entries in one batch of every batched kernel (the column-subset walk,
+# _product, grs.difference_products), or in one row when a row holds more.
+BATCH_ENTRIES = 1 << 13
 
 
 def _amount(value: int, text: str) -> str:
@@ -58,8 +55,10 @@ def mds_route(q: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> str:
     Enumeration when q^k fits (the budget counts q^k although only one
     codeword per projective point is weighed), else column subsets when
     C(n, k) fits; raises BudgetExceeded when neither does, before any work.
-    The only place MDS work is compared with the budget.
+    The only place MDS work meets the budget, an integer >= 0 (ParameterError).
     """
+    if json_int(budget, "budget") < 0:
+        raise ParameterError(f"budget must not be negative, got {budget}")
     if k == 0:
         raise ParameterError("zero-dimensional code has no MDS predicate")
     if q**k <= budget:
@@ -138,11 +137,11 @@ def _rref(field: Field, A):
 
 
 def _product(field: Field, a, b):
-    """a @ b over the field for checked int64 arrays, PRODUCT_BATCH_ENTRIES products a chunk."""
+    """a @ b over the field for checked int64 arrays, BATCH_ENTRIES products a chunk."""
     p = field.p
     if field.e == 1:
         return a @ b % p
-    arrays, step = field.arrays, max(1, PRODUCT_BATCH_ENTRIES // max(1, b.size))
+    arrays, step = field.arrays, max(1, BATCH_ENTRIES // max(1, b.size))
     chunks = (a[i : i + step, :, None] for i in range(0, len(a) or 1, step))
     sums = [arrays.digits[arrays.mul(x, b)].sum(axis=1, dtype=np.int64) for x in chunks]
     return np.concatenate(sums) % p @ p ** np.arange(field.e)
@@ -216,27 +215,27 @@ class LinearCode:
         c*x weighs as much as x for every nonzero c, so only messages whose
         first nonzero entry is 1 are weighed: (q^k - 1)/(q - 1) codewords.
         Going up from the last row, row r is weighed as gen[r] + span of the
-        rows below it, and then that span grows by every multiple of gen[r].
-        A set of m codewords is an (e, n, m) array of base-p digits. A digit
-        of x + y is zero exactly where x's digit is the negated digit of y.
-        Digits are unsigned and wide enough for 2(p - 1), so min(s, s - p)
+        rows below it, against the digits of -gen[r]: a digit of x + y is zero
+        exactly where x's digit is that of -y. Then, for r > 0, the span grows
+        by every multiple of gen[r]. A set of m codewords is an (e, n, m) array
+        of base-p digits, unsigned and wide enough for 2(p - 1), so min(s, s - p)
         reduces a sum s mod p (s - p wraps around when s < p).
         """
         F, arrays = self.field, self.field.arrays
         p, e, q = F.p, F.e, F.q
         n, k = self.n, self.k
-        digits = arrays.digits
+        digits = arrays.digits.T
         dtype, count = digits.dtype.type, np.min_scalar_type(n)
-        # scaled[:, r, :, c] is the (e, n) digit array of c * gen[r]
-        scaled = np.take(digits.T, arrays.mul(self.array[:, :, None], np.arange(q)), axis=1)
+        # multiples[:, r - 1, :, c] is the (e, n) digit array of c * gen[r]
+        multiples = np.take(digits, arrays.mul(self.array[1:, :, None], np.arange(q)), axis=1)
         span = np.zeros((e, n, 1), dtype=dtype)
         best = n
         for r in range(k - 1, -1, -1):
-            negated = (p - scaled[:, r, :, 1:2]) % p
+            negated = digits[:, arrays.neg[self.array[r]], None]
             nonzero = reduce(np.logical_or, span != negated)
             best = min(best, int(nonzero.sum(axis=0, dtype=count).min()))
             if r:
-                grown = np.add(span[:, :, None, :], scaled[:, r, :, :, None], order="C")
+                grown = np.add(span[:, :, None, :], multiples[:, r - 1, :, :, None], order="C")
                 span = grown.reshape(e, n, -1)
                 np.minimum(span, span - dtype(p), out=span)
         return best
@@ -253,7 +252,7 @@ class LinearCode:
         from the other rows and the pivot row dropped. At depth k - 2 two rows
         are left, and every completion c_{k-1} < c_k is nonsingular iff the
         columns after c_{k-2} are distinct points of the projective line.
-        Prefixes are extended in chunks of at most SUBSET_BATCH_ENTRIES
+        Prefixes are extended in chunks of at most BATCH_ENTRIES
         entries per depth, and the walk stops at the first singular subset.
         A chunk carries only its live columns, those after the smallest
         column it extends by: no column at or before a prefix's last is read
@@ -285,7 +284,7 @@ class LinearCode:
         arrays = F.arrays
         while stack:
             rows, lo, prefix, col = stack.pop()
-            step = max(1, SUBSET_BATCH_ENTRIES // rows[0].size)
+            step = max(1, BATCH_ENTRIES // rows[0].size)
             if len(col) > step:
                 stack.append((rows, lo, prefix[step:], col[step:]))
             prefix, col = prefix[:step], col[:step]

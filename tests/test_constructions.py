@@ -209,6 +209,19 @@ def test_large_nk_chosen_multipliers_recheck():
             assert r.spec.multipliers[i] == v
 
 
+def test_large_nk_computes_only_the_searched_dual_multipliers(monkeypatch):
+    # u_i for the k - (q - n) searched coordinates alone, not all n of them
+    calls = []
+    spy = lambda *args: calls.append(args) or dual_multipliers(*args)  # noqa: E731
+    monkeypatch.setattr(construct, "dual_multipliers", spy)
+    r = verify_report(construct_large_nk(field(13), 12, 5))
+    assert calls == []
+    assert r.spec.multipliers == (1,) * 8 + (2,) * 4
+    assert r.params == {"excluded": [12], "chosen_multipliers": [[9, 2], [10, 2], [11, 2], [12, 2]]}
+    assert r.verified == {"hull_dimension": 0, "is_lcd": True, "is_mds": True,
+                          "mds_route": "enumeration", "min_distance": 8}
+
+
 def test_large_nk_rejections():
     with pytest.raises(ParameterError, match="n \\+ k"):
         construct_large_nk(F7, 5, 2)  # 7 < 8
@@ -386,6 +399,18 @@ def test_verify_budget_exceeded():
     r = construct_prime_power(F9, 2, 4)
     with pytest.raises(BudgetExceeded):
         verify_report(r, budget=1)
+
+
+@pytest.mark.parametrize("budget", ["10", None, True, 2.5, -1])
+def test_library_budget_must_be_a_nonnegative_integer(budget):
+    # mds_route checks it, and every library entry point reaches mds_route
+    report = construct_auto(F7, 6, 3)
+    code = report.spec.generator()
+    for check in (lambda: verify_report(report, budget), lambda: code.mds_check(budget),
+                  lambda: code.verdict(budget)):
+        with pytest.raises(ParameterError, match="budget must"):
+            check()
+    assert report.verified is None
 
 
 def test_budget_is_checked_before_the_generator_is_built():

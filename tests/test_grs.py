@@ -2,6 +2,7 @@ import json
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from lcdmds import (
     field,
     field_from_order,
 )
+from lcdmds import linear
 from lcdmds.grs import difference_products
 
 F5 = field(5)
@@ -149,6 +151,27 @@ def test_difference_products_match_scalar_reference(p, e):
         assert difference_products(F, points, others).tolist() == expected
         if points == others:
             assert dual_multipliers(F, points) == tuple(map(F.inv, expected))
+
+
+@pytest.mark.parametrize("batch", [1, 7, linear.BATCH_ENTRIES])
+@pytest.mark.parametrize("p, e", [(13, 1), (3, 3), (2, 16)])
+def test_difference_products_go_in_bounded_chunks(monkeypatch, p, e, batch):
+    # a long locator list must not make a (points, others) temporary at once
+    F = field(p, e)
+    rng = random.Random(F.q + batch)
+    pool = rng.sample(range(F.q), min(F.q, 40))
+    monkeypatch.setattr(linear, "BATCH_ENTRIES", batch)
+    sizes = []
+    submul = type(F.arrays).submul
+    counted = lambda s, a, b, c: sizes.append(np.broadcast(a, b, c).size) or submul(s, a, b, c)  # noqa: E731
+    monkeypatch.setattr(type(F.arrays), "submul", counted)
+    cases = [([], pool), (pool[:5], []), ([], []), (pool, pool), (pool[:9], pool[9:]),
+             (pool[:1], pool[:3])]
+    for points, others in cases:
+        sizes.clear()
+        expected = difference_products_scalar(F, points, others)
+        assert difference_products(F, points, others).tolist() == expected
+        assert max(sizes) <= max(batch, len(others)), (points, others)
 
 
 def test_dual_multipliers_all_elements_constant():

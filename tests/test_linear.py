@@ -31,7 +31,7 @@ from lcdmds import (
     rref,
 )
 from lcdmds import linear
-from lcdmds.linear import SUBSET_BATCH_ENTRIES, mds_route
+from lcdmds.linear import BATCH_ENTRIES, mds_route
 
 F5 = field(5)
 
@@ -106,7 +106,7 @@ def test_extension_products_go_in_bounded_chunks(monkeypatch, batch):
     # make a (k, n, k) temporary at once
     F = field(3, 3)
     rng = random.Random(batch)
-    monkeypatch.setattr(linear, "PRODUCT_BATCH_ENTRIES", batch)
+    monkeypatch.setattr(linear, "BATCH_ENTRIES", batch)
     sizes = []
     mul = type(F.arrays).mul
     counted = lambda s, x, y: sizes.append(np.broadcast(x, y).size) or mul(s, x, y)  # noqa: E731
@@ -362,8 +362,8 @@ def test_fast_routes_match_scalar_references_on_large_extension_fields(pe):
         gram = mat_mul_scalar(F, code.gen, list(zip(*code.gen)))
         assert code.hull_dimension() == code.k - rref_scalar(F, gram)[1]
         expected = subsets_nonsingular_scalar(code)
-        for entries in (SUBSET_BATCH_ENTRIES, 1):
-            with mock.patch.object(linear, "SUBSET_BATCH_ENTRIES", entries):
+        for entries in (BATCH_ENTRIES, 1):
+            with mock.patch.object(linear, "BATCH_ENTRIES", entries):
                 assert code._mds_by_column_subsets() == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
@@ -428,12 +428,36 @@ def test_minimum_distance_kernel_cases():
             code = LinearCode(F, rows)
             assert enumerated_min_distance(code) == 1
             codes.append(code)
+    # k = 1 over the largest fields, with zero entries: d counts the nonzero ones
+    for F in (field(2, 16), field(65521)):
+        for n in (7, 300):
+            row = [rng.randrange(F.q) if rng.random() < 0.8 else 0 for _ in range(n)]
+            row[0] = row[0] or 1
+            code = LinearCode(F, [row])
+            assert enumerated_min_distance(code) == n - row.count(0)
+            codes.append(code)
     for code in codes:
         d = enumerated_min_distance(code)
         if code.field.q**code.k <= 20_000:
             assert d == brute_min_distance(code), code.gen
         if code.k <= 2:
             assert d == min_distance_by_columns(code), code.gen
+
+
+@pytest.mark.parametrize("pe, n, k", [((2, 16), 300, 1), ((7, 1), 12, 3)])
+def test_enumeration_builds_multiples_of_rows_below_the_first_only(monkeypatch, pe, n, k):
+    # row 0 is weighed against the digits of -gen[0], so neither a k = 1
+    # code nor row 0 of any code makes a (n, q) array of multiples
+    F = field(*pe)
+    code = random_full_rank_code(F, n, k, random.Random(n))
+    sizes = []
+    mul = type(F.arrays).mul
+    counted = lambda s, x, y: sizes.append(np.broadcast(x, y).size) or mul(s, x, y)  # noqa: E731
+    monkeypatch.setattr(type(F.arrays), "mul", counted)
+    d = code._enumerate_min_weight()
+    assert max(sizes) <= (k - 1) * n * F.q
+    monkeypatch.undo()
+    assert d == (brute_min_distance(code) if k > 1 else min_distance_by_columns(code))
 
 
 FIELDS = [field(2), field(3), field(2, 2), field(5), field(2, 3), field(7),
@@ -519,7 +543,7 @@ def test_mds_routes_agree():
     codes.append(LinearCode(grs.field, [row + (row[-1],) for row in grs.gen]))
     # C(n, 1) is one more than the batch size: the last subset is a batch of
     # its own, singular or not.
-    n = SUBSET_BATCH_ENTRIES + 1
+    n = BATCH_ENTRIES + 1
     codes += [LinearCode(F5, [[1] * n]), LinearCode(F5, [[1] * (n - 1) + [0]])]
     verdicts = set()
     for code in codes:
@@ -581,8 +605,8 @@ def subset_codes(draw):
 def test_subset_kernel_matches_scalar_reference(code):
     # whole chunks, and one prefix per chunk at every depth
     expected = subsets_nonsingular_scalar(code)
-    for entries in (SUBSET_BATCH_ENTRIES, 1):
-        with mock.patch.object(linear, "SUBSET_BATCH_ENTRIES", entries):
+    for entries in (BATCH_ENTRIES, 1):
+        with mock.patch.object(linear, "BATCH_ENTRIES", entries):
             assert code._mds_by_column_subsets() == expected
 
 
@@ -625,8 +649,8 @@ def test_subset_kernel_last_subset_and_chunk_splits():
         expected = subsets_nonsingular_scalar(code)
         # 100 entries split the prefixes at depths 0 and 1 into several chunks,
         # and 37 split one column's extensions across chunks
-        for entries in (SUBSET_BATCH_ENTRIES, 100, 37, 1):
-            with mock.patch.object(linear, "SUBSET_BATCH_ENTRIES", entries):
+        for entries in (BATCH_ENTRIES, 100, 37, 1):
+            with mock.patch.object(linear, "BATCH_ENTRIES", entries):
                 assert code._mds_by_column_subsets() == expected, (code, entries)
         verdicts.append(expected)
     assert verdicts[:9] == [False] * 5 + [True] * 4 and not any(verdicts[9:])
@@ -656,9 +680,9 @@ def test_subset_kernel_carries_only_live_columns(monkeypatch):
         "submul",
         lambda self, a, b, c: updated.append(a.size) or submul(self, a, b, c),
     )
-    for entries, most in ((1, least), (SUBSET_BATCH_ENTRIES, 1.5 * least)):
+    for entries, most in ((1, least), (BATCH_ENTRIES, 1.5 * least)):
         updated.clear()
-        with mock.patch.object(linear, "SUBSET_BATCH_ENTRIES", entries):
+        with mock.patch.object(linear, "BATCH_ENTRIES", entries):
             assert code._mds_by_column_subsets()
         assert least <= sum(updated) <= most, (entries, sum(updated), least)
 
