@@ -23,6 +23,7 @@ from time import perf_counter
 from .construct import (
     ALL_THEOREMS,
     FAMILIES,
+    _choose_family,
     applicable_conditions,
     construct_auto,
     require_construction_field,
@@ -91,15 +92,12 @@ def cmd_construct(args) -> int:
     tail = args.tail
     if tail is not None and len(tail) == 1:
         tail = tail[0]
-    report = construct_auto(
-        F,
-        args.n,
-        args.k,
-        gamma=args.gamma,
-        tail=tail,
-        permutation=args.permutation,
-        theorem=THEOREM_BY_FLAG.get(args.theorem),
+    family, overrides = _choose_family(
+        F, args.n, args.k, args.gamma, tail, args.permutation, THEOREM_BY_FLAG.get(args.theorem)
     )
+    if not args.skip_verify:
+        mds_route(F.q, args.n, args.k, budget)  # verify_report's gate, before the build
+    report = construct_auto(F, args.n, args.k, theorem=family.tag, **overrides)
     if not args.skip_verify:
         verify_report(report, budget)
     if args.format == "json":
@@ -154,29 +152,28 @@ def cmd_verify(args) -> int:
 # ---------- sweep ----------
 
 
-def _sweep_cell(F: Field, n: int, k: int, budget: int):
+def _sweep_cell(F: Field, n: int, k: int, budget: int) -> dict:
+    """One row: the family's checks, then the budget, and only then the build."""
     verdict_keys = ("hull_dimension", "is_mds", "mds_route", "min_distance")
     row = {"n": n, "k": k, "condition": "none", "status": "no_construction", "verified": False}
     row.update(dict.fromkeys(verdict_keys))
-    start = perf_counter()
     try:
-        report = construct_auto(F, n, k)
+        row["condition"] = _choose_family(F, n, k)[0].tag
+        mds_route(F.q, n, k, budget)
     except NoConstructionApplies:
-        return row, perf_counter() - start
-    row["condition"] = report.theorem
+        return row
+    except BudgetExceeded:
+        row["status"] = "budget_exceeded"
+        return row
+    report = construct_auto(F, n, k, theorem=row["condition"])
     try:
         verify_report(report, budget)
         row["status"] = "ok"
-    except BudgetExceeded:
-        row["status"] = "budget_exceeded"
     except TheoremViolation:
         row["status"] = "violation"
-    v = report.verified
-    if v is not None:
-        row["verified"] = row["status"] == "ok"
-        for key in verdict_keys:
-            row[key] = v[key]
-    return row, perf_counter() - start
+    row["verified"] = row["status"] == "ok"
+    row.update((key, report.verified[key]) for key in verdict_keys)
+    return row
 
 
 def cmd_sweep(args) -> int:
@@ -200,23 +197,16 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep(F: Field, n_max: int, budget: int, out) -> int:
-    """Run every cell, print the table, write the JSON result to out."""
-    results = [
-        _sweep_cell(F, n, k, budget) for n in range(4, n_max + 1) for k in range(2, n // 2 + 1)
-    ]
-    rows = [row for row, _ in results]
-    result = {
-        "q": F.q,
-        "field": F.to_dict(),
-        "n_max": n_max,
-        "budget": budget,
-        "rows": rows,
-    }
-
+    """Run every cell, printing its table row as it finishes, then write the JSON result to out."""
     header = f"{'n':>4} {'k':>3}  {'condition':<18} {'status':<16} {'hull':>4} {'mds':>4}  {'route':<15} {'d':>3} {'ms':>8}"
     print(header)
     print("-" * len(header))
-    for row, secs in results:
+    rows = []
+    for n, k in ((n, k) for n in range(4, n_max + 1) for k in range(2, n // 2 + 1)):
+        start = perf_counter()
+        row = _sweep_cell(F, n, k, budget)
+        secs = perf_counter() - start
+        rows.append(row)
         hull = "-" if row["hull_dimension"] is None else str(row["hull_dimension"])
         mds = "-" if row["is_mds"] is None else ("yes" if row["is_mds"] else "no")
         dist = "-" if row["min_distance"] is None else str(row["min_distance"])
@@ -225,6 +215,13 @@ def _sweep(F: Field, n_max: int, budget: int, out) -> int:
             f"{row['n']:>4} {row['k']:>3}  {row['condition']:<18} {row['status']:<16} "
             f"{hull:>4} {mds:>4}  {route:<15} {dist:>3} {secs * 1000:>8.1f}"
         )
+    result = {
+        "q": F.q,
+        "field": F.to_dict(),
+        "n_max": n_max,
+        "budget": budget,
+        "rows": rows,
+    }
     out.write(_dumps(result))
 
     if any(row["status"] == "violation" for row in rows):

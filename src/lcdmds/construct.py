@@ -287,17 +287,11 @@ def _require_family(tag: str, F: Field, n: int, k: int) -> Family:
     return family
 
 
-def construct_auto(
+def _choose_family(
     F: Field, n: int, k: int, gamma=None, tail=None, permutation=None, theorem=None
-) -> ConstructionReport:
-    """Build with the family tagged theorem, or else the first that applies.
-
-    A named family whose condition fails raises ParameterError naming the
-    condition, and so does an override (gamma, tail, permutation) that the
-    chosen family does not take. With no family named, NoConstructionApplies
-    means none of the five constructions covers (n, k), not that no LCD MDS
-    code with these parameters exists.
-    """
+) -> tuple[Family, dict]:
+    """Every check construct_auto makes before it builds, and so its errors:
+    the family it would build and the overrides that family takes."""
     if theorem is None:
         applicable = applicable_conditions(F, n, k)
         if not applicable:
@@ -316,6 +310,21 @@ def construct_auto(
             f"{family.tag} does not take the {' or '.join(unused)} override; "
             f"it takes {' or '.join(family.overrides)}"
         )
+    return family, overrides
+
+
+def construct_auto(
+    F: Field, n: int, k: int, gamma=None, tail=None, permutation=None, theorem=None
+) -> ConstructionReport:
+    """Build with the family tagged theorem, or else the first that applies.
+
+    A named family whose condition fails raises ParameterError naming the
+    condition, and so does an override (gamma, tail, permutation) that the
+    chosen family does not take; its builder checks the values. With no family
+    named, NoConstructionApplies means none of the five constructions covers
+    (n, k), not that no LCD MDS code with these parameters exists.
+    """
+    family, overrides = _choose_family(F, n, k, gamma, tail, permutation, theorem)
     return family.build(F, n, k, **overrides)
 
 

@@ -349,8 +349,9 @@ class FieldArrays:
     b c = 0, and a - b c = g^(la + Z(lb - la)) with la = log a, copyto fixing
     a = 0 and b c = 0. zech is Z twice over, so lb - la, from -2(q - 1) up to
     2q - 3, indexes it with no % (q - 1): negative indices wrap.
-    Every field keeps exp and log, so a product of many nonzero factors is a
-    sum of their logs mod q1 = q - 1 and one exp lookup (grs.difference_products).
+    Every field keeps exp and log, so mul is exp[log a + log b], log 0 landing
+    in the zero tail of exp, and a product of many nonzero factors is a sum of
+    their logs mod q1 = q - 1 and one exp lookup (grs.difference_products).
     inv is a table too, indexed like exp and log, and inv[0] reads 0. digits[a]
     holds the e base-p digits of element a, in the narrowest unsigned type that
     also holds a sum of two digits.
@@ -367,8 +368,6 @@ class FieldArrays:
         self.exp, self.log, self.zech, self.neg = exp, log, np.tile(zech, 2), neg
 
     def mul(self, a, b):
-        if self.prime:
-            return a * b % self.p
         return self.exp[self.log[a] + self.log[b]]
 
     def submul(self, a, b, c):

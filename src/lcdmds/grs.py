@@ -22,9 +22,10 @@ product of differences of locators; difference_products computes each one
 as a sum of logs on the field's tables, in batches of linear.BATCH_ENTRIES.
 
 A GrsSpec checks its locators, multipliers, k and extended flag when it is
-made (from_dict only unpacks), and a Poly its messages, so the dual
-multipliers and the point lists of codeword and in_dual are computed
-unchecked on the field's tables.
+made (from_dict only unpacks), and a Poly its messages, so dual(), the
+in_dual scale and the point lists of codeword and in_dual run unchecked on
+the field's tables; only the public dual_multipliers, called once for the
+scale, checks the locators again.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class GrsSpec:
         if self.k >= self.length:
             raise ParameterError("dual of a full-space spec is zero-dimensional")
         F = self.field
-        vprime = tuple(F.div(v, s) for v, s in zip(self.multipliers, self._dual_scale))
+        vprime = tuple(F._mul(v, F._inv[s]) for v, s in zip(self.multipliers, self._dual_scale))
         return GrsSpec(F, self.locators, vprime, self.length - self.k, self.extended)
 
     def in_dual(self, f: Poly) -> bool:
@@ -166,7 +167,7 @@ class GrsSpec:
         """s_i = v_i^2 / u_i, with u_i = 1 when extended."""
         F = self.field
         u = (1,) * self.n if self.extended else dual_multipliers(F, self.locators)
-        return tuple(F.div(F.mul(v, v), ui) for v, ui in zip(self.multipliers, u))
+        return tuple(F._mul(F._mul(v, v), F._inv[ui]) for v, ui in zip(self.multipliers, u))
 
     def to_dict(self) -> dict:
         return {

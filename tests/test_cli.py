@@ -303,6 +303,38 @@ def test_construct_over_budget_exits_5_with_a_short_message(capsys):
     assert "MDS check" in err and "budget" in err and len(err.rstrip("\n")) < 200
 
 
+def test_over_budget_codes_are_never_built(capsys, monkeypatch, tmp_path):
+    # construct and every sweep cell meet the budget before construct_auto
+    builds = []
+    real = lcdmds.cli.construct_auto
+    monkeypatch.setattr(lcdmds.cli, "construct_auto",
+                        lambda F, n, k, **kw: builds.append((n, k)) or real(F, n, k, **kw))
+    argv = ("construct", "--q", "243", "--n", "244", "--k", "100", "--budget", "20000")
+    for theorem in ((), ("--theorem", "extended")):
+        rc, out, err = run(capsys, *argv, *theorem)
+        assert rc == 5 and out == "" and "MDS check" in err
+    assert builds == []
+    path = tmp_path / "sweep7.json"
+    assert run(capsys, "sweep", "--q", "7", "--budget", "10", "--output", str(path))[0] == 5
+    rows = json.loads(path.read_text())["rows"]
+    assert builds == [(r["n"], r["k"]) for r in rows if r["status"] == "ok"] != []
+
+
+@pytest.mark.parametrize("cell, code, message", [
+    (("--q", "7", "--n", "100", "--k", "50"), 2, "n = 100 exceeds q + 1 = 8"),
+    (("--q", "13", "--n", "9", "--k", "3"), 3, "no covered family matches q = 13, n = 9, k = 3"),
+    (("--q", "13", "--n", "12", "--k", "3", "--theorem", "window"), 2,
+     "Window2n needs n < q and 2n - k < q <= 2n; got q = 13, n = 12, k = 3"),
+    (("--q", "7", "--n", "6", "--k", "3", "--gamma", "3"), 2,
+     "DivisorOfQMinus1 does not take the gamma override; it takes tail"),
+    # an override's value is its builder's check, which comes after the budget
+    (("--q", "13", "--n", "14", "--k", "3", "--gamma", "1"), 5, "MDS check"),
+])
+def test_construct_checks_its_cell_before_the_budget(capsys, cell, code, message):
+    rc, out, err = run(capsys, "construct", *cell, "--budget", "1")
+    assert (rc, out) == (code, "") and message in err
+
+
 def test_verify_over_budget_report_exits_5_at_once(capsys, tmp_path):
     # the unverified report's generator row-reduces a 100 x 244 matrix over
     # GF(243); verify meets the budget before its own elimination
