@@ -8,12 +8,11 @@ which also gives the minimum distance, and column subsets, every k-column
 submatrix nonsingular, by eliminations shared along a prefix tree.
 _matrix checks a list of rows element by element, or an int64 array by one
 range test; _generator_array adds every generator rule but the rank, so a
-caller can meet the budget before any elimination. A LinearCode keeps its
-generator G as a read-only array and row-reduces once, [G Gt | G]: G Gt lies
-in the column space of G, so there are k pivots iff the rows are
-independent, and the pivots among the first k columns count rank(G Gt),
-which gives the hull dimension k - rank(G Gt) (Massey 1992). Each pivot is
-one fused FieldArrays.submul, A - column x row.
+caller can meet the budget before any elimination. A LinearCode keeps G as a
+read-only array and k - rank(G Gt), the hull dimension (Massey 1992), from
+one k x k elimination of G Gt. As rank(G Gt) <= rank(G), a nonsingular G Gt
+proves the rows independent; only a singular one row-reduces G as well.
+Each pivot is one fused FieldArrays.submul, A - column x row.
 """
 
 from __future__ import annotations
@@ -174,12 +173,12 @@ class LinearCode:
     def __init__(self, field: Field, gen, n: int | None = None):
         G = _generator_array(field, gen, n)
         k, length = G.shape
-        _, pivots = _rref(field, np.hstack((_product(field, G, G.T), G)))
-        if len(pivots) != k:
+        rank = len(_rref(field, _product(field, G, G.T))[1])
+        if rank < k and len(_rref(field, G.copy())[1]) < k:
             raise ParameterError("generator rows are linearly dependent")
         G.flags.writeable = False
         self.field, self.array, self.n, self.k = field, G, length, k
-        self._hull = k - sum(c < k for c in pivots)
+        self._hull = k - rank
 
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over {self.field!r})"
@@ -201,7 +200,8 @@ class LinearCode:
         return LinearCode(F, _rref(F, rows)[0], n=self.n)  # rows are independent
 
     def hull_dimension(self) -> int:
-        """dim(C and C-dual) = k - rank(G Gt), from the RREF made with the code."""
+        """dim(C and C-dual) = k - rank(G Gt), from the k x k elimination of G Gt
+        made with the code (G's own elimination runs only when G Gt is singular)."""
         return self._hull
 
     def is_lcd(self) -> bool:
@@ -320,7 +320,7 @@ class LinearCode:
     def verdict(self, budget: int = DEFAULT_BUDGET) -> dict:
         """Hull dimension and MDS check, as the JSON-ready LCD/MDS verdict.
 
-        The hull comes from the code's one RREF; only the MDS check meets the budget.
+        The hull was stored when the code was made; only the MDS check meets the budget.
         """
         mds, route, dist = self.mds_check(budget)
         hull = self.hull_dimension()

@@ -391,15 +391,16 @@ def test_verify_meets_the_budget_before_any_elimination(capsys, tmp_path, elimin
             rc, out, err = verify(record, *budget)
             assert rc == 2 and out == "" and message in err, record
     assert eliminations == []
-    # the rank check is the elimination, so it too waits for the budget: a
-    # rank-deficient record over budget exits 5, and within budget 2
+    # the rank check follows the G Gt elimination, so it too waits for the
+    # budget: a rank-deficient record over budget exits 5, and within budget 2
+    # after the singular G Gt sends it to the elimination of G
     dependent = {"field": gf9, "generator": gen[:-1] + [gen[0]]}
     rc, out, err = verify(dependent, "--budget", "10")
     assert rc == 5 and out == "" and "MDS check" in err
     assert eliminations == []
     rc, out, err = verify({"field": {"p": 5, "e": 1}, "generator": [[1, 2, 3], [2, 4, 1]]})
     assert rc == 2 and out == "" and "generator rows are linearly dependent" in err
-    assert eliminations == ["_product", "_rref"]
+    assert eliminations == ["_product", "_rref", "_rref"]
 
 
 def test_budget_env_var(capsys, tmp_path, monkeypatch):

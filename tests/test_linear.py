@@ -216,20 +216,36 @@ def test_elements_are_checked_once_at_the_boundary(monkeypatch):
 
 
 def test_one_elimination_per_code(monkeypatch):
-    # the rank check and the hull come from one RREF of [G Gt | G]
+    # the hull comes from one k x k RREF of G Gt; a nonsingular G Gt proves
+    # the rows independent, and only a singular one row-reduces G as well
     F = field(3, 3)
     gen = GrsSpec(F, tuple(range(1, 10)), tuple(range(2, 11)), 4).generator().gen
+    # a self-orthogonal [27, 3] RS code: G Gt is zero, and G has full rank
+    rs = GrsSpec(F, tuple(range(27)), (1,) * 27, 3).generator().gen
     calls = []
     real = linear._rref
     monkeypatch.setattr(linear, "_rref", lambda f, A: calls.append(A.shape) or real(f, A))
     code = LinearCode(F, gen)
-    assert calls == [(4, 4 + 9)]
+    assert calls == [(4, 4)] and code.is_lcd()
     calls.clear()
     code.hull_dimension(), code.is_lcd()
     # 27^4 codewords fit the default budget, C(9, 4) = 126 subsets fit 200
     assert code.verdict()["mds_route"] == "enumeration"
     assert code.verdict(budget=200)["mds_route"] == "column_subsets"
     assert calls == []
+    # full rank with a singular G Gt, [1, 2] over GF(5) and the RS code,
+    # makes a (k, k) and then a (k, n) call
+    for F_, gen, hull in ((F5, [[1, 2]], 1), (F, rs, 3)):
+        code = LinearCode(F_, gen)
+        k, n = code.k, code.n
+        assert calls == [(k, k), (k, n)] and code.hull_dimension() == hull
+        calls.clear()
+        code.hull_dimension(), code.is_lcd(), code.verdict()
+        assert calls == []
+    # a dependent generator makes the same two calls and then raises
+    with pytest.raises(ParameterError, match="dependent"):
+        LinearCode(F5, [[1, 2, 3], [2, 4, 1]])
+    assert calls == [(2, 2), (2, 3)]
 
 
 def _random_invertible(F, k, rng):
