@@ -5,7 +5,12 @@ against: RREF and rank, duals via null spaces, hull dimensions, and one MDS
 check, LinearCode.mds_check, whose two named routes mds_route picks from
 (q, n, k) and the budget: enumeration of one codeword per projective point,
 which also gives the minimum distance, and column subsets, every k-column
-submatrix nonsingular, by eliminations shared along a prefix tree.
+submatrix nonsingular, by eliminations shared along a prefix tree. Each of
+its pivot steps updates only the r - 1 rows it keeps, a chunk at a time
+sized by the child it makes, and when 2k > n it walks the n - k rows of a
+dual generator, as a code is MDS iff its dual is. The enumeration grows its
+span of codewords within 2^8 BATCH_ENTRIES entries, then weighs the rest
+against it a batch of targets at a time.
 _matrix checks a list of rows element by element, or an int64 array by one
 range test; _generator_array adds every generator rule but the rank, so a
 caller can meet the budget before any elimination. A LinearCode keeps G as a
@@ -32,8 +37,9 @@ DEFAULT_BUDGET = 10**6
 ROUTE_ENUMERATION = "enumeration"
 ROUTE_COLUMN_SUBSETS = "column_subsets"
 
-# Entries in one batch of every batched kernel (the column-subset walk,
-# _product, grs.difference_products), or in one row when a row holds more.
+# Entries in one batch of every batched kernel (the child arrays of the
+# column-subset walk, _product, grs.difference_products), or in one row when
+# a row holds more; the enumeration's span stays within 2^8 of them.
 BATCH_ENTRIES = 1 << 13
 
 
@@ -190,14 +196,18 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         """The dual code under the standard inner product, in RREF."""
+        return LinearCode(self.field, _rref(self.field, self._dual_rows())[0], n=self.n)
+
+    def _dual_rows(self):
+        """An (n - k, n) array of independent rows spanning the dual, from the RREF R
+        of G: one row per free column f, 1 at f and -R[r, f] at the pivot column of row r."""
         F = self.field
         R, pivots = _rref(F, self.array.copy())
         free = np.setdiff1d(np.arange(self.n), pivots)
-        # one row per free column f: 1 at f and -R[r, f] at the pivot column of row r
         rows = np.zeros((free.size, self.n), dtype=np.int64)
         rows[np.arange(free.size), free] = 1
         rows[:, list(pivots)] = F.arrays.neg[R[:, free]].T
-        return LinearCode(F, _rref(F, rows)[0], n=self.n)  # rows are independent
+        return rows
 
     def hull_dimension(self) -> int:
         """dim(C and C-dual) = k - rank(G Gt), from the k x k elimination of G Gt
@@ -217,9 +227,15 @@ class LinearCode:
         Going up from the last row, row r is weighed as gen[r] + span of the
         rows below it, against the digits of -gen[r]: a digit of x + y is zero
         exactly where x's digit is that of -y. Then, for r > 0, the span grows
-        by every multiple of gen[r]. A set of m codewords is an (e, n, m) array
-        of base-p digits, unsigned and wide enough for 2(p - 1), so min(s, s - p)
-        reduces a sum s mod p (s - p wraps around when s < p).
+        by every multiple of gen[r] while it stays within 2^8 BATCH_ENTRIES
+        digit entries ([10, 6] over GF(9) ends at 1,180,980). If it stops at
+        rows r + 1..k - 1, a row i < r leads the codewords gen[i] - h + s, with
+        s in the span and h in the span of rows i + 1..r, and the span is
+        compared with a batch of targets h - gen[i] at a time, as many as
+        keep the comparison within the bound. A set of m codewords is an
+        (e, n, m) array of base-p digits, unsigned and wide enough for
+        2(p - 1), so min(s, s - p) reduces a sum s mod p (s - p wraps around
+        when s < p).
         """
         F, arrays = self.field, self.field.arrays
         p, e, q = F.p, F.e, F.q
@@ -228,40 +244,63 @@ class LinearCode:
         dtype, count = digits.dtype.type, np.min_scalar_type(n)
         # multiples[:, r - 1, :, c] is the (e, n) digit array of c * gen[r]
         multiples = np.take(digits, arrays.mul(self.array[1:, :, None], np.arange(q)), axis=1)
-        span = np.zeros((e, n, 1), dtype=dtype)
-        best = n
+        limit = BATCH_ENTRIES << 8
+
+        def weigh(words, targets) -> int:
+            """The least weight of x - y over x in words and y in targets, digit
+            arrays broadcast against each other, the codewords on their later axes."""
+            return int(reduce(np.logical_or, words != targets).sum(axis=0, dtype=count).min())
+
+        span, best = np.zeros((e, n, 1), dtype=dtype), n
         for r in range(k - 1, -1, -1):
-            negated = digits[:, arrays.neg[self.array[r]], None]
-            nonzero = reduce(np.logical_or, span != negated)
-            best = min(best, int(nonzero.sum(axis=0, dtype=count).min()))
-            if r:
-                grown = np.add(span[:, :, None, :], multiples[:, r - 1, :, :, None], order="C")
-                span = grown.reshape(e, n, -1)
-                np.minimum(span, span - dtype(p), out=span)
+            best = min(best, weigh(span, digits[:, arrays.neg[self.array[r]], None]))
+            if not r or span.size * q > limit:
+                break
+            grown = np.add(span[:, :, None, :], multiples[:, r - 1, :, :, None], order="C")
+            span = grown.reshape(e, n, -1)
+            np.minimum(span, span - dtype(p), out=span)
+        # the span stopped at rows r + 1..k - 1
+        step = max(1, limit // span.size)
+        for i in range(r - 1, -1, -1):
+            size = q ** (r - i)
+            for first in range(0, size, step):
+                # targets[:, :, t] is h - gen[i] for the h whose coefficients
+                # of rows i + 1..r are the base-q digits of t
+                t = np.arange(first, min(size, first + step))
+                targets = digits[:, arrays.neg[self.array[i]], None]
+                for j in range(i + 1, r + 1):
+                    targets = targets + multiples[:, j - 1][..., t // q ** (j - i - 1) % q]
+                    np.minimum(targets, targets - dtype(p), out=targets)
+                best = min(best, weigh(span[..., None], targets[:, :, None]))
         return best
 
     def _mds_by_column_subsets(self) -> bool:
         """MDS iff every k-subset of generator columns is nonsingular.
 
-        The subsets c_1 < ... < c_k are the leaves of a prefix tree, walked
-        depth first, and each prefix c_1 < ... < c_d does its elimination once
-        for all its extensions. It carries N G, where N is k - d rows spanning
-        the vectors orthogonal to its columns (I_k at the root). Extended by a
-        column c > c_d, the prefix stays independent iff column c of N G is
-        nonzero; the pivot on that column's first nonzero entry is cleared
-        from the other rows and the pivot row dropped. At depth k - 2 two rows
-        are left, and every completion c_{k-1} < c_k is nonsingular iff the
-        columns after c_{k-2} are distinct points of the projective line.
-        Prefixes are extended in chunks of at most BATCH_ENTRIES
-        entries per depth, and the walk stops at the first singular subset.
-        A chunk carries only its live columns, those after the smallest
-        column it extends by: no column at or before a prefix's last is read
-        again. Its pending (prefix, column) pairs go column by column, so the
-        pairs of one chunk share few columns and drop many.
-        It runs whatever C(n, k); mds_check decides when it fits the budget.
+        A code is MDS iff its dual is, so when 2k > n the walk runs on the
+        n - k rows of a dual generator instead, and either side with at most
+        one row is MDS iff that row (if any) has no zero entry. The subsets
+        c_1 < ... < c_r of the side's r rows are the leaves of a prefix tree,
+        walked depth first, and each prefix c_1 < ... < c_d does its
+        elimination once for all its extensions. It carries N G, where N is
+        r - d rows spanning the vectors orthogonal to its columns (I_r at the
+        root). Extended by a column c > c_d, the prefix stays independent iff
+        column c of N G is nonzero; the pivot on that column's first nonzero
+        entry is cleared from the r - d - 1 other rows, which alone make the
+        child. At depth r - 2 two rows are left, and every completion
+        c_{r-1} < c_r is nonsingular iff the columns after c_{r-2} are
+        distinct points of the projective line. The walk stops at the first
+        singular subset. A child carries only its live columns, those after
+        the smallest column its chunk extends by: no column at or before a
+        prefix's last is read again. Pending (prefix, column) pairs go column
+        by column, so the pairs of one chunk share few columns and drop many,
+        and a chunk takes as many pairs as fit BATCH_ENTRIES entries in the
+        child it makes. It runs whatever C(n, k); mds_check decides when it
+        fits the budget.
         """
-        F, n, gen = self.field, self.n, self.array
-        if self.k == 1:
+        F, n = self.field, self.n
+        gen = self._dual_rows() if 2 * self.k > n else self.array
+        if len(gen) <= 1:
             return bool(gen.all())
         # (rows of a chunk of prefixes, the first column lo they carry, and
         # their pending (prefix, column) pairs)
@@ -284,7 +323,10 @@ class LinearCode:
         arrays = F.arrays
         while stack:
             rows, lo, prefix, col = stack.pop()
-            step = max(1, BATCH_ENTRIES // rows[0].size)
+            # each pair's child is r - 1 rows of the columns after the
+            # chunk's first, and the first pair has the smallest column
+            r, start = rows.shape[1], col[0] + 1
+            step = max(1, BATCH_ENTRIES // ((r - 1) * (n - start)))
             if len(col) > step:
                 stack.append((rows, lo, prefix[step:], col[step:]))
             prefix, col = prefix[:step], col[:step]
@@ -292,16 +334,14 @@ class LinearCode:
             w = rows[prefix, :, col - lo]
             if not w.any(axis=1).all():
                 return False
-            # keep the live columns only: those after the chunk's smallest
-            start = col.min() + 1
-            rows = rows[prefix, :, start - lo :]
             pivot = (w != 0).argmax(axis=1)
-            pivot_row = rows[m, pivot]
-            f = arrays.mul(w, arrays.inv[w[m, pivot]][:, None])
-            rows = arrays.submul(rows, f[:, :, None], pivot_row[:, None, :])
-            # the pivot row is now zero: the last row moves into its place
-            rows[m, pivot] = rows[:, -1]
-            if not visit(rows[:, :-1], start, col):
+            # the r - 1 rows other than each pair's pivot row, in order
+            others = np.arange(r - 1) + (np.arange(r - 1) >= pivot[:, None])
+            f = arrays.mul(w[m[:, None], others], arrays.inv[w[m, pivot]][:, None])
+            pivot_row = rows[prefix, pivot, start - lo :]
+            rows = arrays.submul(rows[prefix[:, None], others, start - lo :],
+                                 f[:, :, None], pivot_row[:, None, :])
+            if not visit(rows, start, col):
                 return False
         return True
 

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 from unittest import mock
@@ -28,6 +29,7 @@ from lcdmds import (
     LinearCode,
     ParameterError,
     field,
+    field_from_order,
     rref,
 )
 from lcdmds import linear
@@ -514,6 +516,58 @@ def test_minimum_distance_property(case):
     assert enumerated_min_distance(LinearCode(F, rows)) == d
 
 
+@st.composite
+def enumeration_codes(draw):
+    # k >= 2, so the span can stop before row 0, and q^k <= 2,500 for the
+    # brute-force reference
+    F = draw(st.sampled_from([F for F in FIELDS if F.q <= 50]))
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(2, min(n, max(m for m in range(1, 12) if F.q**m <= 2500))))
+    gen = draw(st.lists(st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n),
+                        min_size=k, max_size=k))
+    try:
+        return LinearCode(F, gen)
+    except ParameterError:
+        assume(False)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(enumeration_codes(), st.sampled_from([1, 0]))
+def test_enumeration_in_blocks_matches_bruteforce(code, entries):
+    # a bound of 0 entries keeps the span at the zero word, so every codeword
+    # is a target, one a batch; 256 (BATCH_ENTRIES = 1) stops the span after
+    # a few rows and weighs several targets a batch
+    with mock.patch.object(linear, "BATCH_ENTRIES", entries):
+        d = code._enumerate_min_weight()
+    assert d == brute_min_distance(code)
+
+
+def test_enumeration_keeps_its_arrays_within_the_bound():
+    """A long code's span stops within 2^8 BATCH_ENTRIES digit entries.
+
+    The span of rows 1..11 of a [2000, 12] code over GF(2) is 4,096,000
+    entries; within the bound, the kernel holds the span and one comparison
+    with it at a time, each at most the bound. GF(2) digits and comparisons
+    take one byte an entry, so the peak of traced memory shows them all.
+    """
+    rng = random.Random(2000)
+    k, n = 12, 2000
+    gen = [[int(i == j) for j in range(k)] + [rng.randrange(2) for _ in range(n - k)]
+           for i in range(k)]
+    code = LinearCode(field(2), gen)
+    bound = BATCH_ENTRIES << 8
+    tracemalloc.start()
+    try:
+        d = code._enumerate_min_weight()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * bound, peak
+    # one pass, the span grown by every row below the first
+    with mock.patch.object(linear, "BATCH_ENTRIES", BATCH_ENTRIES << 1):
+        assert code._enumerate_min_weight() == d
+
+
 def test_is_mds_examples():
     grs = GrsSpec(F5, (0, 1, 2, 3), (1, 1, 1, 1), 2).generator()
     assert grs.mds_check() == (True, "enumeration", 3)
@@ -673,10 +727,12 @@ def test_subset_kernel_last_subset_and_chunk_splits():
 
 
 def test_subset_kernel_carries_only_live_columns(monkeypatch):
-    """Each pivot step updates only the columns after its chunk's first one.
+    """Each pivot step updates only the rows it keeps, in the columns after
+    its chunk's first one.
 
-    The least work has every (prefix, column) pair carry just the columns
-    after its own column. One pair a chunk does exactly that. Whole chunks
+    The least work has every (prefix, column) pair update just the k - d - 1
+    rows other than its pivot row, in the columns after its own column. One
+    pair a chunk does exactly that. Whole chunks
     list their pairs column by column, so they share few columns and carry
     well under 1.5 times the least (a prefix's pairs taken together, or all n
     columns, carry over twice as much on this code).
@@ -684,7 +740,7 @@ def test_subset_kernel_carries_only_live_columns(monkeypatch):
     F, n, k = field(3, 3), 20, 6
     code = GrsSpec(F, tuple(range(n)), (1,) * n, k).generator()
     least = sum(
-        (k - d) * (n - c - 1)
+        (k - d - 1) * (n - c - 1)
         for d in range(k - 2)
         for prefix in combinations(range(n), d)
         for c in range(prefix[-1] + 1 if prefix else 0, n - k + d + 1)
@@ -701,6 +757,84 @@ def test_subset_kernel_carries_only_live_columns(monkeypatch):
         with mock.patch.object(linear, "BATCH_ENTRIES", entries):
             assert code._mds_by_column_subsets()
         assert least <= sum(updated) <= most, (entries, sum(updated), least)
+
+
+@st.composite
+def dual_side_codes(draw):
+    """Codes of every rate, k = n and k = n - 1 among them, a column copied
+    over another in some: GRS codes where n <= q, else [I | A] with its
+    columns permuted."""
+    F = draw(st.sampled_from(SUBSET_FIELDS))
+    n = draw(st.integers(1, 9))
+    k = n - draw(st.integers(0, n - 1))
+    if n <= F.q and draw(st.booleans()):
+        locs = draw(st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n, unique=True))
+        mults = draw(st.lists(st.integers(1, F.q - 1), min_size=n, max_size=n))
+        gen = [list(row) for row in GrsSpec(F, tuple(locs), tuple(mults), k).generator().gen]
+    else:
+        tail = st.lists(st.integers(0, F.q - 1), min_size=n - k, max_size=n - k)
+        perm = draw(st.permutations(range(n)))
+        rows = [[int(i == j) for j in range(k)] + draw(tail) for i in range(k)]
+        gen = [[row[j] for j in perm] for row in rows]
+    if k < n and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        for row in gen:
+            row[dst] = row[src]
+    try:
+        return LinearCode(F, gen)
+    except ParameterError:
+        assume(False)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(dual_side_codes(), st.sampled_from([1, 37, BATCH_ENTRIES]))
+def test_subset_walk_agrees_with_both_sides(code, entries):
+    # a code is MDS iff its dual is: the walk, on whichever side it takes,
+    # against the scalar reference on the code and on its dual
+    with mock.patch.object(linear, "BATCH_ENTRIES", entries):
+        verdict = code._mds_by_column_subsets()
+    assert verdict == subsets_nonsingular_scalar(code)
+    if code.k == code.n:
+        assert verdict  # the dual is empty
+    else:
+        assert verdict == subsets_nonsingular_scalar(code.dual())
+
+
+@pytest.mark.parametrize("q, n, k", [(29, 26, 22), (27, 12, 9), (7, 7, 5)])
+def test_high_rate_walk_runs_on_the_dual(monkeypatch, q, n, k):
+    """For 2k > n no chunk the walk updates or tests has more than n - k rows.
+
+    The RREF of G that builds the dual's rows is the only k-row elimination,
+    and no LinearCode is made for the dual.
+    """
+    F = field_from_order(q)
+    code = GrsSpec(F, tuple(range(n)), (1,) * n, k).generator()
+    chunks, eliminations, inits = [], [], []
+    submul, distinct, rref_ = type(F.arrays).submul, linear._distinct_points, linear._rref
+    init = LinearCode.__init__
+
+    def spy_submul(self, a, b, c):
+        chunks.extend(x.shape[1] for x in (a, b, c) if np.ndim(x) == 3)
+        return submul(self, a, b, c)
+
+    monkeypatch.setattr(type(F.arrays), "submul", spy_submul)
+    monkeypatch.setattr(linear, "_distinct_points", lambda F, rows, later: (
+        chunks.append(rows.shape[1]) or distinct(F, rows, later)))
+    monkeypatch.setattr(linear, "_rref", lambda F, A: eliminations.append(A.shape) or rref_(F, A))
+    monkeypatch.setattr(LinearCode, "__init__", lambda *a, **kw: inits.append(a) or init(*a, **kw))
+    assert code._mds_by_column_subsets()
+    assert chunks and max(chunks) <= n - k
+    assert eliminations == [(k, n)] and not inits
+
+
+def test_high_rate_walk_pins_grs_over_gf29():
+    # GRS [26, 22] over GF(29) is MDS; a column copied over another is not.
+    # The dual [26, 4] is weighed by enumeration as an independent check.
+    F = field(29)
+    code = GrsSpec(F, tuple(range(26)), (1,) * 26, 22).generator()
+    copied = LinearCode(F, [row[:20] + (row[3],) + row[21:] for row in code.gen])
+    assert code._mds_by_column_subsets() and enumerated_min_distance(code.dual()) == 23
+    assert not copied._mds_by_column_subsets() and enumerated_min_distance(copied.dual()) < 23
 
 
 def test_mds_check_routes_and_budget():
