@@ -8,9 +8,9 @@ which also gives the minimum distance, and column subsets, every k-column
 submatrix nonsingular, by eliminations shared along a prefix tree. Each of
 its pivot steps updates only the r - 1 rows it keeps, a chunk at a time
 sized by the child it makes, and when 2k > n it walks the n - k rows of a
-dual generator, as a code is MDS iff its dual is. The enumeration grows its
-span of codewords within 2^8 BATCH_ENTRIES entries, then weighs the rest
-against it a batch of targets at a time.
+dual generator, as a code is MDS iff its dual is. The enumeration goes up
+the rows in one loop, weighing a span of the last rows, within 2^8
+BATCH_ENTRIES entries, against one target n-vector at a time.
 _matrix checks a list of rows element by element, or an int64 array by one
 range test; _generator_array adds every generator rule but the rank, so a
 caller can meet the budget before any elimination. A LinearCode keeps G as a
@@ -39,7 +39,8 @@ ROUTE_COLUMN_SUBSETS = "column_subsets"
 
 # Entries in one batch of every batched kernel (the child arrays of the
 # column-subset walk, _product, grs.difference_products), or in one row when
-# a row holds more; the enumeration's span stays within 2^8 of them.
+# a row holds more; the enumeration's span, and the multiples of the rows
+# it holds, stay within 2^8 of them.
 BATCH_ENTRIES = 1 << 13
 
 
@@ -169,6 +170,17 @@ def _distinct_points(field: Field, rows, later) -> bool:
     return not (slope[:, 1:] == slope[:, :-1]).any()
 
 
+def _minus_span(arrays, q: int, t, rows):
+    """t - h, an n-vector, for every h in the span of the rows of an (m, n)
+    array: the coefficients of h are walked depth first, and each nonzero
+    one costs one FieldArrays.submul on the vector of its prefix."""
+    if len(rows):
+        for c in range(q):
+            yield from _minus_span(arrays, q, arrays.submul(t, c, rows[0]) if c else t, rows[1:])
+    else:
+        yield t
+
+
 class LinearCode:
     """An [n, k] linear code; the generator must have full row rank.
 
@@ -224,54 +236,41 @@ class LinearCode:
 
         c*x weighs as much as x for every nonzero c, so only messages whose
         first nonzero entry is 1 are weighed: (q^k - 1)/(q - 1) codewords.
-        Going up from the last row, row r is weighed as gen[r] + span of the
-        rows below it, against the digits of -gen[r]: a digit of x + y is zero
-        exactly where x's digit is that of -y. Then, for r > 0, the span grows
-        by every multiple of gen[r] while it stays within 2^8 BATCH_ENTRIES
-        digit entries ([10, 6] over GF(9) ends at 1,180,980). If it stops at
-        rows r + 1..k - 1, a row i < r leads the codewords gen[i] - h + s, with
-        s in the span and h in the span of rows i + 1..r, and the span is
-        compared with a batch of targets h - gen[i] at a time, as many as
-        keep the comparison within the bound. A set of m codewords is an
-        (e, n, m) array of base-p digits, unsigned and wide enough for
+        A span of codewords holds the last rows r + 1..k - 1, the most whose
+        e n q^(k-1-r) digit entries stay within 2^8 BATCH_ENTRIES ([10, 6]
+        over GF(9) ends at 1,180,980), and only their multiples are built.
+        Going up from the last row, row i leads the codewords gen[i] + h + s,
+        s in the span held so far and h in the span of rows i + 1..r (h = 0
+        for i >= r). Each h is weighed by one comparison of the span with the
+        digits of the n-vector -(gen[i] + h) from _minus_span: a digit of
+        x + y is zero exactly where x's digit is that of -y. Then, for i > r,
+        the span grows by every multiple of gen[i]. A set of m codewords is
+        an (e, n, m) array of base-p digits, unsigned and wide enough for
         2(p - 1), so min(s, s - p) reduces a sum s mod p (s - p wraps around
         when s < p).
         """
-        F, arrays = self.field, self.field.arrays
+        F, arrays, G = self.field, self.field.arrays, self.array
         p, e, q = F.p, F.e, F.q
         n, k = self.n, self.k
         digits = arrays.digits.T
         dtype, count = digits.dtype.type, np.min_scalar_type(n)
-        # multiples[:, r - 1, :, c] is the (e, n) digit array of c * gen[r]
-        multiples = np.take(digits, arrays.mul(self.array[1:, :, None], np.arange(q)), axis=1)
-        limit = BATCH_ENTRIES << 8
-
-        def weigh(words, targets) -> int:
-            """The least weight of x - y over x in words and y in targets, digit
-            arrays broadcast against each other, the codewords on their later axes."""
-            return int(reduce(np.logical_or, words != targets).sum(axis=0, dtype=count).min())
+        r = k - 1
+        while r and e * n * q ** (k - r) <= 2**8 * BATCH_ENTRIES:
+            r -= 1
+        # multiples[:, i - r - 1, :, c] is the (e, n) digit array of c * gen[i]
+        multiples = np.take(digits, arrays.mul(G[r + 1 :, :, None], np.arange(q)), axis=1)
 
         span, best = np.zeros((e, n, 1), dtype=dtype), n
-        for r in range(k - 1, -1, -1):
-            best = min(best, weigh(span, digits[:, arrays.neg[self.array[r]], None]))
-            if not r or span.size * q > limit:
-                break
-            grown = np.add(span[:, :, None, :], multiples[:, r - 1, :, :, None], order="C")
-            span = grown.reshape(e, n, -1)
-            np.minimum(span, span - dtype(p), out=span)
-        # the span stopped at rows r + 1..k - 1
-        step = max(1, limit // span.size)
-        for i in range(r - 1, -1, -1):
-            size = q ** (r - i)
-            for first in range(0, size, step):
-                # targets[:, :, t] is h - gen[i] for the h whose coefficients
-                # of rows i + 1..r are the base-q digits of t
-                t = np.arange(first, min(size, first + step))
-                targets = digits[:, arrays.neg[self.array[i]], None]
-                for j in range(i + 1, r + 1):
-                    targets = targets + multiples[:, j - 1][..., t // q ** (j - i - 1) % q]
-                    np.minimum(targets, targets - dtype(p), out=targets)
-                best = min(best, weigh(span[..., None], targets[:, :, None]))
+        for i in range(k - 1, -1, -1):
+            # h = 0 alone while i >= r
+            lead = arrays.neg[G[i]]
+            for t in (lead,) if i >= r else _minus_span(arrays, q, lead, G[i + 1 : r + 1]):
+                weights = reduce(np.logical_or, span != digits[:, t, None]).sum(axis=0, dtype=count)
+                best = min(best, int(weights.min()))
+            if i > r:
+                grown = np.add(span[:, :, None, :], multiples[:, i - r - 1, :, :, None], order="C")
+                span = grown.reshape(e, n, -1)
+                np.minimum(span, span - dtype(p), out=span)
         return best
 
     def _mds_by_column_subsets(self) -> bool:

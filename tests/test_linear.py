@@ -1,6 +1,7 @@
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from unittest import mock
@@ -462,20 +463,29 @@ def test_minimum_distance_kernel_cases():
             assert d == min_distance_by_columns(code), code.gen
 
 
-@pytest.mark.parametrize("pe, n, k", [((2, 16), 300, 1), ((7, 1), 12, 3)])
-def test_enumeration_builds_multiples_of_rows_below_the_first_only(monkeypatch, pe, n, k):
-    # row 0 is weighed against the digits of -gen[0], so neither a k = 1
-    # code nor row 0 of any code makes a (n, q) array of multiples
+@pytest.mark.parametrize("pe, n, k, entries, held", [
+    ((2, 16), 300, 1, BATCH_ENTRIES, 0),
+    ((7, 1), 12, 3, BATCH_ENTRIES, 2),
+    ((7, 1), 12, 4, 1, 1),
+    ((997, 1), 3000, 2, BATCH_ENTRIES, 0),
+], ids=["pe0-300-1", "pe1-12-3", "pe2-12-4-bound-256", "pe3-3000-2"])
+def test_enumeration_builds_multiples_of_rows_below_the_first_only(monkeypatch, pe, n, k, entries, held):
+    # only the last `held` rows, those the span holds, get an (n, q) array
+    # of multiples: not row 0, nor a k = 1 code, nor a row whose multiples
+    # would take the span past the bound, as 12 x 7^2 entries do past 256
+    # (BATCH_ENTRIES = 1) and 3000 x 997 past 2^21; the other rows' targets
+    # are n-vectors
     F = field(*pe)
     code = random_full_rank_code(F, n, k, random.Random(n))
     sizes = []
     mul = type(F.arrays).mul
     counted = lambda s, x, y: sizes.append(np.broadcast(x, y).size) or mul(s, x, y)  # noqa: E731
     monkeypatch.setattr(type(F.arrays), "mul", counted)
+    monkeypatch.setattr(linear, "BATCH_ENTRIES", entries)
     d = code._enumerate_min_weight()
-    assert max(sizes) <= (k - 1) * n * F.q
+    assert max(sizes, default=0) == held * n * F.q
     monkeypatch.undo()
-    assert d == (brute_min_distance(code) if k > 1 else min_distance_by_columns(code))
+    assert d == (min_distance_by_columns(code) if k <= 2 else brute_min_distance(code))
 
 
 FIELDS = [field(2), field(3), field(2, 2), field(5), field(2, 3), field(7),
@@ -534,12 +544,56 @@ def enumeration_codes(draw):
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
 @given(enumeration_codes(), st.sampled_from([1, 0]))
 def test_enumeration_in_blocks_matches_bruteforce(code, entries):
-    # a bound of 0 entries keeps the span at the zero word, so every codeword
-    # is a target, one a batch; 256 (BATCH_ENTRIES = 1) stops the span after
-    # a few rows and weighs several targets a batch
+    # a bound of 0 entries keeps the span at the zero word, so row i weighs
+    # one target for every h in the span of the rows after it; 256
+    # (BATCH_ENTRIES = 1) stops the span after a few rows
     with mock.patch.object(linear, "BATCH_ENTRIES", entries):
         d = code._enumerate_min_weight()
     assert d == brute_min_distance(code)
+
+
+@pytest.mark.parametrize("pe, n, k, seed", [((3, 1), 8, 5, 85), ((3, 2), 8, 4, 84)])
+def test_enumeration_splits_at_every_row(monkeypatch, pe, n, k, seed):
+    """Every split r of the rows, from a span of all rows below the first to
+    none, gives the brute-force minimum distance.
+
+    The bound is set to exactly the e n q^m digit entries of a span of the
+    last m rows, with BATCH_ENTRIES the Fraction e n q^m / 2^8, as 2^8 need
+    not divide them; so the span holds m rows, r = k - 1 - m, and the
+    multiples built show m.
+    """
+    F = field(*pe)
+    code = random_full_rank_code(F, n, k, random.Random(seed))
+    expected = brute_min_distance(code)
+    mul = type(F.arrays).mul
+    for m in range(k):
+        sizes = []
+        counted = lambda s, x, y: sizes.append(np.broadcast(x, y).size) or mul(s, x, y)  # noqa: E731
+        monkeypatch.setattr(type(F.arrays), "mul", counted)
+        monkeypatch.setattr(linear, "BATCH_ENTRIES", Fraction(F.e * n * F.q**m, 2**8))
+        assert code._enumerate_min_weight() == expected, m
+        assert max(sizes, default=0) == m * n * F.q, m
+        monkeypatch.undo()
+
+
+def test_enumeration_of_a_long_two_row_code_builds_no_multiples():
+    """A [3000, 2] code over GF(997) weighs its 998 codewords one n-vector at a time.
+
+    The multiples of row 1 alone would be 3000 x 997 digit entries, past the
+    bound of 2^21, so the span stays at the zero word and no (n, q) array is
+    made: the peak of traced memory stays within 2.2 x 2^21 bytes (building
+    the int64 multiples of row 1 peaks at 47.9 MB).
+    """
+    F = field(997)
+    code = random_full_rank_code(F, 3000, 2, random.Random(3000))
+    tracemalloc.start()
+    try:
+        d = code._enumerate_min_weight()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * (BATCH_ENTRIES << 8), peak
+    assert d == min_distance_by_columns(code)
 
 
 def test_enumeration_keeps_its_arrays_within_the_bound():
