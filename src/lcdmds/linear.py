@@ -5,10 +5,13 @@ against: RREF and rank, duals via null spaces, hull dimensions, and one MDS
 check, LinearCode.mds_check, whose two named routes mds_route picks from
 (q, n, k) and the budget: enumeration of one codeword per projective point,
 which also gives the minimum distance, and column subsets, every k-column
-submatrix nonsingular, by eliminations shared along a prefix tree. Each of
-its pivot steps updates only the r - 1 rows it keeps, a chunk at a time
-sized by the child it makes, and when 2k > n it walks the n - k rows of a
-dual generator, as a code is MDS iff its dual is. The enumeration goes up
+submatrix nonsingular. That route first asks _grs_certificate, one RREF
+[I | A] of G and O(k(n - k)) checks that A is a generalized Cauchy matrix,
+which decides every GRS and extended GRS code; only a code it declines is
+walked, by eliminations shared along a prefix tree. Each of the walk's
+pivot steps updates only the r - 1 rows it keeps, a chunk at a time sized
+by the child it makes, and when 2k > n it walks the n - k rows of a dual
+generator, as a code is MDS iff its dual is. The enumeration goes up
 the rows in one loop, weighing a span of the last rows, within 2^8
 BATCH_ENTRIES entries, against one target n-vector at a time.
 _matrix checks a list of rows element by element, or an int64 array by one
@@ -273,6 +276,42 @@ class LinearCode:
                 np.minimum(span, span - dtype(p), out=span)
         return best
 
+    def _grs_certificate(self) -> bool | None:
+        """Whether every k-subset of generator columns is nonsingular, read
+        from the RREF [I | A] of G, or None when A is not a generalized
+        Cauchy matrix, the form of every GRS code (Roth and Seroussi 1985).
+
+        If the first k columns are not the pivots, they are singular. Else
+        the code is MDS iff every square submatrix of A is nonsingular, so a
+        zero of A decides it, and k = 1 or n - k <= 1 leaves no other
+        submatrix. Else the rows are scaled to make A's first column ones (a
+        locator at infinity, which covers extended codes), and B = 1/A on
+        the other columns. A has the Cauchy form B_ij = D_1j (x_i - y_j),
+        with x_0 = 0, x_1 = 1 and y = -B[0] / D[1], iff D = B - B[0] is
+        x D[1] for a column x. Its square submatrices are then all
+        nonsingular iff the x_i are distinct and the y_j are distinct: a
+        repeated x or y makes two rows or two columns of A proportional, as
+        does a zero of D[1] before x is formed.
+        """
+        F, k, n = self.field, self.k, self.n
+        arrays = F.arrays
+        R, pivots = _rref(F, self.array.copy())
+        A = R[:, k:]
+        if pivots[-1] != k - 1 or not A.all():
+            return False
+        if k == 1 or n - k <= 1:
+            return True
+        B = arrays.inv[arrays.mul(A[:, 1:], arrays.inv[A[:, :1]])]
+        D = arrays.submul(B, 1, B[0])
+        if not D[1].all():
+            return False
+        scale = arrays.inv[D[1]]
+        x = arrays.mul(D, scale)
+        if (x != x[:, :1]).any():
+            return None
+        y = arrays.mul(arrays.neg[B[0]], scale)
+        return np.unique(x[:, 0]).size == k and np.unique(y).size == y.size
+
     def _mds_by_column_subsets(self) -> bool:
         """MDS iff every k-subset of generator columns is nonsingular.
 
@@ -349,12 +388,18 @@ class LinearCode:
 
         mds_route picks the route, ROUTE_ENUMERATION or ROUTE_COLUMN_SUBSETS,
         or raises BudgetExceeded (and ParameterError for k = 0) before any
-        work. min_distance is None when the column-subset route decided.
+        work. min_distance is None when the column-subset route decided: it
+        proves every k-subset of columns nonsingular, or finds one that is
+        not, by _grs_certificate and, for a code it declines, by walking
+        the subsets.
         """
         if mds_route(self.field.q, self.n, self.k, budget) == ROUTE_ENUMERATION:
             d = self._enumerate_min_weight()
             return d == self.n - self.k + 1, ROUTE_ENUMERATION, d
-        return self._mds_by_column_subsets(), ROUTE_COLUMN_SUBSETS, None
+        mds = self._grs_certificate()
+        if mds is None:
+            mds = self._mds_by_column_subsets()
+        return mds, ROUTE_COLUMN_SUBSETS, None
 
     def verdict(self, budget: int = DEFAULT_BUDGET) -> dict:
         """Hull dimension and MDS check, as the JSON-ready LCD/MDS verdict.

@@ -492,6 +492,8 @@ PINNED_SWEEP_JSON = {
     "5": "deff9c58d09963cf242a0333b7f13de41585f4d46436ae40efbe38ccac21a538",
     "7": "c48e065d692e9ffa06f7cd79e90d0ef47705d55d258a6d741822a3a498cd649d",
     "9": "aeac4523b4df4c55bf19110d2a15879556df27bc0c233aa2d297fb258d882eab",
+    # the first pinned sweep with column_subsets rows (4 of them)
+    "13": "1cc28893883170c70eb1e13c3877d2474ec9b887ad98923699ad5da7dbda562e",
 }
 PINNED_CONSTRUCT_STDOUT = {
     ("--q", "9", "--n", "10", "--k", "4"): "7f632656d40f02ffb00221193d7e25c58723f2d3e03f42df95ec03e1faaf6d60",

@@ -232,10 +232,13 @@ def test_one_elimination_per_code(monkeypatch):
     assert calls == [(4, 4)] and code.is_lcd()
     calls.clear()
     code.hull_dimension(), code.is_lcd()
-    # 27^4 codewords fit the default budget, C(9, 4) = 126 subsets fit 200
+    # 27^4 codewords fit the default budget, C(9, 4) = 126 subsets fit 200;
+    # the column-subset route row-reduces G once, for its GRS certificate
     assert code.verdict()["mds_route"] == "enumeration"
-    assert code.verdict(budget=200)["mds_route"] == "column_subsets"
     assert calls == []
+    assert code.verdict(budget=200)["mds_route"] == "column_subsets"
+    assert calls == [(4, 9)]
+    calls.clear()
     # full rank with a singular G Gt, [1, 2] over GF(5) and the RS code,
     # makes a (k, k) and then a (k, n) call
     for F_, gen, hull in ((F5, [[1, 2]], 1), (F, rs, 3)):
@@ -889,6 +892,117 @@ def test_high_rate_walk_pins_grs_over_gf29():
     copied = LinearCode(F, [row[:20] + (row[3],) + row[21:] for row in code.gen])
     assert code._mds_by_column_subsets() and enumerated_min_distance(code.dual()) == 23
     assert not copied._mds_by_column_subsets() and enumerated_min_distance(copied.dual()) < 23
+
+
+CERTIFICATE_FIELDS = [field(2), field(2, 2), field(2, 3), field(7), field(3, 2), field(13), field(3, 7)]
+
+
+@st.composite
+def certificate_codes(draw):
+    """(code, form): GRS and extended GRS codes and random codes, some with
+    one entry changed or one column copied over another, then some taken to
+    their duals, each in a random basis with permuted columns. form is
+    "grs" for a GRS code, "repeated locator" for a GRS code with a copied
+    column or its dual, and None otherwise."""
+    F = draw(st.sampled_from(CERTIFICATE_FIELDS))
+    kind = draw(st.sampled_from(["grs", "extended", "random"]))
+    # sampled, not drawn as integers, so that long codes with k >= 3 and
+    # n - k >= 2, whose certificates test the locators, are not rare
+    if kind == "random":
+        n = draw(st.sampled_from(range(1, 10)))
+        k = draw(st.sampled_from(range(1, n + 1)))
+        row = st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n)
+        gen = draw(st.lists(row, min_size=k, max_size=k))
+    else:
+        extended = kind == "extended" and F.q <= 8
+        size = F.q if extended else draw(st.sampled_from(range(1, min(9, F.q) + 1)))
+        locs = draw(st.lists(st.integers(0, F.q - 1), min_size=size, max_size=size, unique=True))
+        mults = draw(st.lists(st.integers(1, F.q - 1), min_size=size, max_size=size))
+        k = draw(st.sampled_from(range(1, size + 1)))
+        gen = [list(row) for row in GrsSpec(F, tuple(locs), tuple(mults), k, extended).generator().gen]
+        n = len(gen[0])
+    change = draw(st.sampled_from(["none", "entry", "copy"] if n > 1 else ["none", "entry"]))
+    if change == "entry":
+        gen[draw(st.integers(0, k - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(0, F.q - 1))
+    elif change == "copy":
+        src, dst = draw(st.permutations(range(n)))[:2]
+        for row in gen:
+            row[dst] = row[src]
+    form = {"none": "grs", "copy": "repeated locator"}.get(change) if kind != "random" else None
+    try:
+        code = LinearCode(F, gen)
+    except ParameterError:
+        assume(False)
+    if k < n and draw(st.booleans()):
+        code = code.dual()
+    k = code.k
+    T = draw(st.lists(st.lists(st.integers(0, F.q - 1), min_size=k, max_size=k), min_size=k, max_size=k))
+    gen = mat_mul_scalar(F, T, code.gen) if rref_scalar(F, T)[1] == k else code.gen
+    perm = draw(st.permutations(range(n)))
+    return LinearCode(F, [[row[j] for j in perm] for row in gen]), form
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(certificate_codes())
+def test_grs_certificate_matches_scalar_reference(case):
+    # whenever the certificate answers, it answers as every k-subset does;
+    # it answers True on every GRS code, and answers at all when a locator
+    # repeats; mds_check agrees with the walk
+    code, form = case
+    expected = subsets_nonsingular_scalar(code)
+    certified = code._grs_certificate()
+    assert certified in (None, expected)
+    if form == "grs":
+        assert certified is True
+    elif form == "repeated locator":
+        assert certified is not None
+    assert code._mds_by_column_subsets() == expected
+    with mock.patch.object(linear, "mds_route", lambda *args: linear.ROUTE_COLUMN_SUBSETS):
+        assert code.mds_check() == (expected, "column_subsets", None)
+
+
+@pytest.mark.parametrize("x, y, mds", [
+    ((2, 9, 4), (6, 11), True),
+    ((2, 9, 4, 0), (6, 11, 1), True),
+    ((2, 2, 4), (6, 11), False),  # rows 0 and 1 proportional: a zero of D[1]
+    ((2, 9, 2), (6, 11), False),  # rows 0 and 2
+    ((2, 9, 4, 9), (6, 11, 1), False),  # rows 1 and 3
+    ((2, 9, 4), (6, 6), False),  # columns 1 and 2
+])
+def test_certificate_reads_cauchy_parameters(x, y, mds):
+    # [I | A] over GF(13) with A_i0 = c_i and A_ij = c_i d_j / (x_i - y_j):
+    # a repeated x or y is decided without the walk
+    F = field(13)
+    c, d = (1, 3, 5, 7), (4, 6, 10)
+    A = [[c[i]] + [F.mul(F.mul(c[i], dj), F.inv(F.sub(xi, yj))) for dj, yj in zip(d, y)]
+         for i, xi in enumerate(x)]
+    k = len(x)
+    code = LinearCode(F, [[int(i == j) for j in range(k)] + row for i, row in enumerate(A)])
+    assert code._grs_certificate() is mds
+    assert subsets_nonsingular_scalar(code) is mds
+
+
+@pytest.mark.parametrize("p, gen", [
+    (7, [[1, 0, 0, 2, 5, 1], [0, 1, 0, 3, 1, 4], [0, 0, 1, 4, 4, 6]]),
+    (11, [[1, 0, 0, 4, 2, 8], [0, 1, 0, 1, 7, 7], [0, 0, 1, 10, 1, 8]]),
+    (13, [[1, 0, 0, 3, 10, 2], [0, 1, 0, 5, 2, 8], [0, 0, 1, 8, 8, 11]]),
+])
+def test_certificate_declines_non_grs_mds_codes(monkeypatch, p, gen):
+    # [6, 3] MDS codes whose columns lie on no conic are not GRS: the
+    # certificate declines them, and mds_check walks the subsets
+    code = LinearCode(field(p), gen)
+    assert code._grs_certificate() is None and subsets_nonsingular_scalar(code)
+    walks = []
+    walk = LinearCode._mds_by_column_subsets
+    monkeypatch.setattr(LinearCode, "_mds_by_column_subsets", lambda self: walks.append(self) or walk(self))
+    # 20 = C(6, 3) subsets fit the budget, p^3 codewords do not
+    assert code.mds_check(budget=20) == (True, "column_subsets", None)
+    assert walks == [code]
+    # a GRS code of the same shape is certified, and nothing is walked
+    walks.clear()
+    grs = GrsSpec(field(p), tuple(range(6)), (1,) * 6, 3).generator()
+    assert grs.mds_check(budget=20) == (True, "column_subsets", None)
+    assert walks == []
 
 
 def test_mds_check_routes_and_budget():
