@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import os
+import signal
 import sys
 from time import perf_counter
 
@@ -331,6 +332,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # a closed stdout (lcdmds ... | head) ends the process as it does any
+        # filter, not with a BrokenPipeError traceback and exit 1
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -19,7 +19,9 @@ range test; _generator_array adds every generator rule but the rank, so a
 caller can meet the budget before any elimination. A LinearCode keeps G as a
 read-only array and k - rank(G Gt), the hull dimension (Massey 1992), from
 one k x k elimination of G Gt. As rank(G Gt) <= rank(G), a nonsingular G Gt
-proves the rows independent; only a singular one row-reduces G as well.
+proves the rows independent; only a singular one asks for the RREF of G,
+LinearCode._echelon, made at most once a code: the rank check, the
+certificate, the walk's dual side and dual() all read it.
 Each pivot is one fused FieldArrays.submul, A - column x row.
 """
 
@@ -64,12 +66,16 @@ def mds_route(q: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> str:
     Enumeration when q^k fits (the budget counts q^k although only one
     codeword per projective point is weighed), else column subsets when
     C(n, k) fits; raises BudgetExceeded when neither does, before any work.
-    The only place MDS work meets the budget, an integer >= 0 (ParameterError).
+    The only place MDS work meets the budget. ParameterError for a budget
+    that is not an integer >= 0, or for a shape no code has: q, n and k must
+    be integers, q >= 2 and 0 < k <= n.
     """
     if json_int(budget, "budget") < 0:
         raise ParameterError(f"budget must not be negative, got {budget}")
-    if k == 0:
+    if json_int(k, "k") == 0:
         raise ParameterError("zero-dimensional code has no MDS predicate")
+    if json_int(q, "q") < 2 or not 0 < k <= json_int(n, "n"):
+        raise ParameterError(f"no [{n}, {k}] code over GF({q}): need q >= 2 and 0 < k <= n")
     if q**k <= budget:
         return ROUTE_ENUMERATION
     if comb(n, k) <= budget:
@@ -193,16 +199,22 @@ class LinearCode:
 
     def __init__(self, field: Field, gen, n: int | None = None):
         G = _generator_array(field, gen, n)
-        k, length = G.shape
-        rank = len(_rref(field, _product(field, G, G.T))[1])
-        if rank < k and len(_rref(field, G.copy())[1]) < k:
-            raise ParameterError("generator rows are linearly dependent")
         G.flags.writeable = False
-        self.field, self.array, self.n, self.k = field, G, length, k
-        self._hull = k - rank
+        self.field, self.array, (self.k, self.n) = field, G, G.shape
+        rank = len(_rref(field, _product(field, G, G.T))[1])
+        if rank < self.k and len(self._echelon[1]) < self.k:
+            raise ParameterError("generator rows are linearly dependent")
+        self._hull = self.k - rank
 
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over {self.field!r})"
+
+    @cached_property
+    def _echelon(self):
+        """(R, pivot columns): the RREF of G, read-only, made at most once a code."""
+        R, pivots = _rref(self.field, self.array.copy())
+        R.flags.writeable = False
+        return R, pivots
 
     @cached_property
     def gen(self) -> tuple[tuple[int, ...], ...]:
@@ -215,9 +227,10 @@ class LinearCode:
 
     def _dual_rows(self):
         """An (n - k, n) array of independent rows spanning the dual, from the RREF R
-        of G: one row per free column f, 1 at f and -R[r, f] at the pivot column of row r."""
+        of G (_echelon): one row per free column f, 1 at f and -R[r, f] at the
+        pivot column of row r."""
         F = self.field
-        R, pivots = _rref(F, self.array.copy())
+        R, pivots = self._echelon
         free = np.setdiff1d(np.arange(self.n), pivots)
         rows = np.zeros((free.size, self.n), dtype=np.int64)
         rows[np.arange(free.size), free] = 1
@@ -226,7 +239,7 @@ class LinearCode:
 
     def hull_dimension(self) -> int:
         """dim(C and C-dual) = k - rank(G Gt), from the k x k elimination of G Gt
-        made with the code (G's own elimination runs only when G Gt is singular)."""
+        made with the code (which reads G's RREF only when G Gt is singular)."""
         return self._hull
 
     def is_lcd(self) -> bool:
@@ -278,8 +291,9 @@ class LinearCode:
 
     def _grs_certificate(self) -> bool | None:
         """Whether every k-subset of generator columns is nonsingular, read
-        from the RREF [I | A] of G, or None when A is not a generalized
-        Cauchy matrix, the form of every GRS code (Roth and Seroussi 1985).
+        from the code's one RREF [I | A] of G (_echelon), or None when A is
+        not a generalized Cauchy matrix, the form of every GRS code (Roth and
+        Seroussi 1985).
 
         If the first k columns are not the pivots, they are singular. Else
         the code is MDS iff every square submatrix of A is nonsingular, so a
@@ -295,7 +309,7 @@ class LinearCode:
         """
         F, k, n = self.field, self.k, self.n
         arrays = F.arrays
-        R, pivots = _rref(F, self.array.copy())
+        R, pivots = self._echelon
         A = R[:, k:]
         if pivots[-1] != k - 1 or not A.all():
             return False

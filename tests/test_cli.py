@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from time import perf_counter
 
@@ -347,6 +351,23 @@ def test_verify_over_budget_report_exits_5_at_once(capsys, tmp_path):
     rc, out, err = run(capsys, "verify", str(path), "--budget", "20000")
     assert perf_counter() - start < 1
     assert rc == 5 and out == "" and "MDS check" in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_cli_quietly():
+    # lcdmds sweep --q 13 | head -2: once the reader has gone, the next write
+    # ends the process by SIGPIPE, with no BrokenPipeError traceback and no
+    # exit 1, the code for a non-LCD or non-MDS code
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(lcdmds.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lcdmds", "sweep", "--q", "13"], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.stderr == b"" and proc.returncode == -signal.SIGPIPE
 
 
 @pytest.fixture

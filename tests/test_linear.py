@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -252,6 +253,43 @@ def test_one_elimination_per_code(monkeypatch):
     with pytest.raises(ParameterError, match="dependent"):
         LinearCode(F5, [[1, 2, 3], [2, 4, 1]])
     assert calls == [(2, 2), (2, 3)]
+
+
+def seeded_10_7():
+    """[I | random nonzero] as a [10, 7] code over GF(3^10), seeded: MDS and
+    LCD, yet not GRS, so the certificate declines it and, as 2k > n, the walk
+    runs on its dual side."""
+    rng = random.Random(1)
+    return LinearCode(field(3, 10), [[int(i == j) for j in range(7)] +
+                                     [rng.randrange(1, 59049) for _ in range(3)] for i in range(7)])
+
+
+def rs_25_5():
+    """The RS [25, 5] code over GF(25) on every locator, multipliers 1: self-
+    orthogonal (G Gt = 0, hull 5), so its rank check reads the RREF of G."""
+    return GrsSpec(field(5, 2), tuple(range(25)), (1,) * 25, 5).generator()
+
+
+@pytest.mark.parametrize("make, budget, hull, certified", [
+    (lambda: GrsSpec(field(3, 3), tuple(range(1, 10)), tuple(range(2, 11)), 4).generator(), 200, 0, True),
+    (seeded_10_7, 200, 0, None),
+    (rs_25_5, 53130, 5, True),
+], ids=["grs-[9,4]", "seeded-[10,7]", "rs-[25,5]"])
+def test_one_echelon_form_per_code(monkeypatch, make, budget, hull, certified):
+    # the rank check, the certificate, the walk's dual side and dual() all
+    # read one RREF of G: one (k, n) elimination over the code's whole life
+    calls = []
+    real = linear._rref
+    monkeypatch.setattr(linear, "_rref", lambda f, A: calls.append(A.shape) or real(f, A))
+    code = make()
+    for _ in range(2):
+        assert code.verdict(budget=budget) == {"hull_dimension": hull, "is_lcd": hull == 0, "is_mds": True,
+                                               "mds_route": "column_subsets", "min_distance": None}
+    assert code._grs_certificate() is certified and code._mds_by_column_subsets()
+    dual = code.dual()
+    assert (dual.n, dual.k, dual.hull_dimension()) == (code.n, code.n - code.k, hull)
+    assert calls.count((code.k, code.n)) == 1
+    assert not code._echelon[0].flags.writeable
 
 
 def _random_invertible(F, k, rng):
@@ -861,13 +899,15 @@ def test_subset_walk_agrees_with_both_sides(code, entries):
 def test_high_rate_walk_runs_on_the_dual(monkeypatch, q, n, k):
     """For 2k > n no chunk the walk updates or tests has more than n - k rows.
 
-    The RREF of G that builds the dual's rows is the only k-row elimination,
-    and no LinearCode is made for the dual.
+    Over construction and the walk together, the one RREF of G, which the
+    rank check reads when G Gt is singular and the dual's rows read, is the
+    only elimination besides G Gt's, and no LinearCode is made for the dual.
     """
     F = field_from_order(q)
-    code = GrsSpec(F, tuple(range(n)), (1,) * n, k).generator()
     chunks, eliminations, inits = [], [], []
     submul, distinct, rref_ = type(F.arrays).submul, linear._distinct_points, linear._rref
+    monkeypatch.setattr(linear, "_rref", lambda F, A: eliminations.append(A.shape) or rref_(F, A))
+    code = GrsSpec(F, tuple(range(n)), (1,) * n, k).generator()
     init = LinearCode.__init__
 
     def spy_submul(self, a, b, c):
@@ -877,11 +917,10 @@ def test_high_rate_walk_runs_on_the_dual(monkeypatch, q, n, k):
     monkeypatch.setattr(type(F.arrays), "submul", spy_submul)
     monkeypatch.setattr(linear, "_distinct_points", lambda F, rows, later: (
         chunks.append(rows.shape[1]) or distinct(F, rows, later)))
-    monkeypatch.setattr(linear, "_rref", lambda F, A: eliminations.append(A.shape) or rref_(F, A))
     monkeypatch.setattr(LinearCode, "__init__", lambda *a, **kw: inits.append(a) or init(*a, **kw))
     assert code._mds_by_column_subsets()
     assert chunks and max(chunks) <= n - k
-    assert eliminations == [(k, n)] and not inits
+    assert eliminations == [(k, k), (k, n)] and not inits
 
 
 def test_high_rate_walk_pins_grs_over_gf29():
@@ -982,11 +1021,15 @@ def test_certificate_reads_cauchy_parameters(x, y, mds):
     assert subsets_nonsingular_scalar(code) is mds
 
 
-@pytest.mark.parametrize("p, gen", [
+# [6, 3] MDS codes over GF(p) whose columns lie on no conic, so not GRS
+NON_CONIC = [
     (7, [[1, 0, 0, 2, 5, 1], [0, 1, 0, 3, 1, 4], [0, 0, 1, 4, 4, 6]]),
     (11, [[1, 0, 0, 4, 2, 8], [0, 1, 0, 1, 7, 7], [0, 0, 1, 10, 1, 8]]),
     (13, [[1, 0, 0, 3, 10, 2], [0, 1, 0, 5, 2, 8], [0, 0, 1, 8, 8, 11]]),
-])
+]
+
+
+@pytest.mark.parametrize("p, gen", NON_CONIC)
 def test_certificate_declines_non_grs_mds_codes(monkeypatch, p, gen):
     # [6, 3] MDS codes whose columns lie on no conic are not GRS: the
     # certificate declines them, and mds_check walks the subsets
@@ -1003,6 +1046,58 @@ def test_certificate_declines_non_grs_mds_codes(monkeypatch, p, gen):
     grs = GrsSpec(field(p), tuple(range(6)), (1,) * 6, 3).generator()
     assert grs.mds_check(budget=20) == (True, "column_subsets", None)
     assert walks == []
+
+
+def _copied_column_grs():
+    code = GrsSpec(field(31), tuple(range(1, 13)), tuple(range(2, 14)), 5).generator()
+    return LinearCode(code.field, [row[:2] + (row[7],) + row[3:] for row in code.gen])
+
+
+# (code, its hull dimension, whether it is MDS), each verified at budget
+# C(n, k), which fits where q^k does not: six constructed cells past q = 13,
+# five families among them, which the certificate decides; the codes it
+# declines, whose walk runs on G ([6, 3], [10, 3]) and on the dual side
+# ([10, 7]); a self-orthogonal RS code, not LCD; and a GRS code with one
+# column copied over another, not MDS
+METAMORPHIC_CODES = {
+    **{f"q{q}-[{n},{k}]": (lambda q=q, n=n, k=k: lcdmds.construct_auto(
+        field_from_order(q), n, k).spec.generator(), 0, True)
+       for q, n, k in ((25, 13, 6), (25, 26, 3), (27, 9, 4), (27, 13, 5), (31, 16, 5), (31, 29, 3))},
+    **{f"non-conic-{p}": (lambda p=p, gen=gen: LinearCode(field(p), gen), 0, True) for p, gen in NON_CONIC},
+    "seeded-[10,7]": (seeded_10_7, 0, True),
+    "rs-[25,5]": (rs_25_5, 5, True),
+    "copied-column": (_copied_column_grs, 0, False),
+}
+
+
+@pytest.mark.parametrize("name", METAMORPHIC_CODES)
+def test_verdicts_are_kept_by_equivalences_and_the_dual(name):
+    # a new basis T G, a column permutation and +-1 column signs keep G Gt up
+    # to T, so the hull, LCD and MDS; any nonzero column scaling keeps MDS
+    # but not always the hull (Carlet et al. 2018); the dual keeps the hull
+    # dimension and MDS (Massey 1992, MacWilliams and Sloane ch. 11)
+    make, hull, mds = METAMORPHIC_CODES[name]
+    code = make()
+    F, n, k = code.field, code.n, code.k
+    verdict = code.verdict(budget=comb(n, k))
+    assert verdict["mds_route"] == "column_subsets"
+    assert (verdict["hull_dimension"], verdict["is_mds"]) == (hull, mds)
+    rng = random.Random(name)
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((1, F.neg(1))) for _ in range(n)]
+    scales = [rng.randrange(1, F.q) for _ in range(n)]
+    everything = ("hull_dimension", "is_lcd", "is_mds")
+    images = [
+        (mat_mul_scalar(F, _random_invertible(F, k, rng), code.gen), everything),
+        ([[row[j] for j in perm] for row in code.gen], everything),
+        ([[F.mul(s, x) for s, x in zip(signs, row)] for row in code.gen], everything),
+        ([[F.mul(s, x) for s, x in zip(scales, row)] for row in code.gen], ("is_mds",)),
+        (code.dual().gen, ("hull_dimension", "is_mds")),
+    ]
+    for gen, kept in images:
+        image = LinearCode(F, gen)
+        seen = image.verdict(budget=comb(n, k))
+        assert {key: seen[key] for key in kept} == {key: verdict[key] for key in kept}
 
 
 def test_mds_check_routes_and_budget():
@@ -1047,6 +1142,15 @@ def test_mds_route_and_budget_message():
     assert linear._amount(999_950_000_000_000, "x") == "x (~1.0e15)"
     with pytest.raises(ParameterError, match="zero-dimensional"):
         mds_route(9, 9, 0, 10**6)
+    # a shape no code has is refused, whatever the budget; the budget is checked first
+    for q, n, k, budget in ((5, 3, 4, 100), (5, -1, 2, 10**6), (5, 4, -1, 10**6), (1, 4, 2, 10**6)):
+        with pytest.raises(ParameterError, match=rf"no \[{n}, {k}\] code over GF\({q}\)"):
+            mds_route(q, n, k, budget)
+    for q, n, k in ((5.0, 4, 2), (5, 4.0, 2), (5, 4, 2.0), (5, True, 2), ("5", 4, 2)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            mds_route(q, n, k, 10**6)
+    with pytest.raises(ParameterError, match="budget must not be negative"):
+        mds_route(5, 3, 4, -1)
 
 
 def test_mds_check_is_the_one_budget_gate():
