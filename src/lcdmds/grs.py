@@ -13,9 +13,9 @@ extended flag. The scale is s_i = v_i^2 / u_i, where u_i = prod_{j != i}
 locators are all of GF(q), and the sum of a^t over a in GF(q) is 0 for
 t < q - 1 and -1 for t = q - 1, which the extra coordinate cancels.
 Membership of a codeword in the dual can be decided without any linear
-algebra by interpolating a witness polynomial through the scaled values and
-testing its degree; in_dual implements that route, independent of the
-null-space machinery in linear.py.
+algebra from the witness polynomial through the scaled values: in_dual reads
+its degree off its Newton coefficients (poly.divided_differences), with no
+monomial form built, independent of the null-space machinery in linear.py.
 
 Every multiplier the constructions need, the u_i above among them, is a
 product of differences of locators; difference_products computes each one
@@ -38,7 +38,7 @@ import numpy as np
 from . import linear
 from .errors import FieldMismatch, ParameterError
 from .fields import Field, json_int
-from .poly import Poly, interpolate
+from .poly import Poly, divided_differences, interpolate  # noqa: F401 (perfbench wraps grs.interpolate)
 
 
 def difference_products(F: Field, points, others) -> np.ndarray:
@@ -154,13 +154,14 @@ class GrsSpec:
     def in_dual(self, f: Poly) -> bool:
         """Whether the codeword of f lies in the dual of this code.
 
-        With d = length - k, interpolate g through (a_i, s_i f(a_i)) and test
-        deg g < d; when extended, also g_(d-1) = f_(k-1).
+        With d = length - k, the interpolant g through (a_i, s_i f(a_i)) must
+        have deg g < d, and when extended also g_(d-1) = f_(k-1). Its Newton
+        coefficients d_j answer both: d_j = 0 for every j >= d, and then
+        d_(d-1) is g_(d-1).
         """
         d = self.length - self.k
-        values = self._scaled_values(f, self._dual_scale)
-        g = interpolate(self.field, list(zip(self.locators, values)))
-        return g.degree < d and (not self.extended or g.coeff(d - 1) == f.coeff(self.k - 1))
+        g = divided_differences(self.field, self.locators, self._scaled_values(f, self._dual_scale))
+        return not any(g[d:]) and (not self.extended or g[d - 1] == f.coeff(self.k - 1))
 
     @cached_property
     def _dual_scale(self) -> tuple[int, ...]:

@@ -223,7 +223,12 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         """The dual code under the standard inner product, in RREF."""
-        return LinearCode(self.field, _rref(self.field, self._dual_rows())[0], n=self.n)
+        R, pivots = _rref(self.field, self._dual_rows())
+        R.flags.writeable = False
+        dual = LinearCode.__new__(LinearCode)
+        dual._echelon = R, pivots  # the rows are their own RREF: its rank check reads it
+        dual.__init__(self.field, R, n=self.n)
+        return dual
 
     def _dual_rows(self):
         """An (n - k, n) array of independent rows spanning the dual, from the RREF R

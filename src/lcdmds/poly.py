@@ -7,6 +7,8 @@ like deg g <= n - k - 1 hold for it uniformly.
 Elements are checked where they enter (the coefficients given to Poly, the x
 given to eval, the points given to interpolate), and the Horner and
 divided-difference loops then run unchecked, one Field._submul (a - b c) a step.
+divided_differences, the Newton coefficients interpolate expands, checks
+nothing: its caller checks the points, and that the xs are distinct.
 """
 
 from __future__ import annotations
@@ -61,6 +63,18 @@ class Poly:
         return f"Poly({self.field!r}, {terms})"
 
 
+def divided_differences(field: Field, xs, ys) -> list[int]:
+    """Newton coefficients d_0..d_(m-1) of the interpolant through (x_i, y_i), for
+    checked ys and checked, pairwise distinct xs. Its degree is the last j with
+    d_j != 0, and d_j is then its leading coefficient."""
+    submul, mul, inv = field._submul, field._mul, field._inv
+    d = list(ys)
+    for j in range(1, len(d)):
+        for i in range(len(d) - 1, j - 1, -1):
+            d[i] = mul(submul(d[i], 1, d[i - 1]), inv[submul(xs[i], 1, xs[i - j])])
+    return d
+
+
 def interpolate(field: Field, points) -> Poly:
     """Unique polynomial of degree < m through m points, by divided differences.
 
@@ -74,12 +88,8 @@ def interpolate(field: Field, points) -> Poly:
         raise ParameterError("duplicate interpolation node")
     ys = [field.check(y) for _, y in pts]
 
-    submul, mul, inv = field._submul, field._mul, field._inv
-    m = len(pts)
-    d = list(ys)
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            d[i] = mul(submul(d[i], 1, d[i - 1]), inv[submul(xs[i], 1, xs[i - j])])
+    submul, m = field._submul, len(pts)
+    d = divided_differences(field, xs, ys)
     # Horner-expand the Newton form: multiply by X - x_j, then add d_j
     out = [0] * m
     out[0] = d[m - 1]

@@ -261,6 +261,9 @@ def test_in_dual_matches_direct_check_exhaustively():
         GrsSpec(field(7), (0, 1, 2, 3, 4, 5), (1, 1, 1, 1, 3, 3), 2),
         GrsSpec(F5, tuple(range(5)), (1, 1, 1, 1, 2), 2, extended=True),
         GrsSpec(F5, tuple(range(5)), (1, 1, 2, 2, 2), 3, extended=True),
+        # d = length - k = 1, so in_dual reads d_0 alone: 1 and 4 messages accepted
+        GrsSpec(F5, tuple(range(5)), (1, 2, 3, 4, 1), 5, extended=True),
+        GrsSpec(field(2, 2), tuple(range(4)), (1, 2, 3, 1), 4, extended=True),  # hull 1
     ]
     for spec in cases:
         F = spec.field

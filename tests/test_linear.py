@@ -277,7 +277,9 @@ def rs_25_5():
 ], ids=["grs-[9,4]", "seeded-[10,7]", "rs-[25,5]"])
 def test_one_echelon_form_per_code(monkeypatch, make, budget, hull, certified):
     # the rank check, the certificate, the walk's dual side and dual() all
-    # read one RREF of G: one (k, n) elimination over the code's whole life
+    # read one RREF of G: one (k, n) elimination over the code's whole life;
+    # and dual() hands the dual its RREF, so one (n - k, n) elimination makes
+    # it, even when its hull is nonzero and its rank check reads that RREF
     calls = []
     real = linear._rref
     monkeypatch.setattr(linear, "_rref", lambda f, A: calls.append(A.shape) or real(f, A))
@@ -288,8 +290,8 @@ def test_one_echelon_form_per_code(monkeypatch, make, budget, hull, certified):
     assert code._grs_certificate() is certified and code._mds_by_column_subsets()
     dual = code.dual()
     assert (dual.n, dual.k, dual.hull_dimension()) == (code.n, code.n - code.k, hull)
-    assert calls.count((code.k, code.n)) == 1
-    assert not code._echelon[0].flags.writeable
+    assert calls.count((code.k, code.n)) == 1 and calls.count((code.n - code.k, code.n)) == 1
+    assert not code._echelon[0].flags.writeable and not dual._echelon[0].flags.writeable
 
 
 def _random_invertible(F, k, rng):

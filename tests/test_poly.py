@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lcdmds import FieldMismatch, GrsSpec, ParameterError, Poly, field, interpolate
+from lcdmds.poly import NEG_INF, divided_differences
 
 F5 = field(5)
 F7 = field(7)
@@ -61,6 +62,12 @@ def test_interpolate_roundtrip_random():
             assert g.degree < m
             for x, y in zip(xs, ys):
                 assert g.eval(x) == y
+            # the last nonzero Newton coefficient sits at deg g and is its
+            # leading coefficient; the zero polynomial has none
+            d = divided_differences(F, xs, ys)
+            last = max((j for j, c in enumerate(d) if c), default=NEG_INF)
+            assert last == g.degree and (g.is_zero() or d[last] == g.coeffs[-1])
+            assert divided_differences(F, xs, [0] * m) == [0] * m
 
 
 def test_interpolate_degree_bound():
