@@ -33,13 +33,12 @@ from .construct import (
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
-    LcdMdsError,
     NoConstructionApplies,
     ParameterError,
     TheoremViolation,
 )
 from .fields import Field, field, prime_power
-from .linear import DEFAULT_BUDGET, LinearCode, _generator_array, mds_route
+from .linear import DEFAULT_BUDGET, LinearCode, mds_route, read_code_record
 
 BUDGET_ENV = "LCDMDS_BUDGET"
 
@@ -101,18 +100,19 @@ def cmd_construct(args) -> int:
     report = construct_auto(F, args.n, args.k, theorem=family.tag, **overrides)
     if not args.skip_verify:
         verify_report(report, budget)
+    record = report.to_dict()
     if args.format == "json":
-        sys.stdout.write(_dumps(report.to_dict()))
+        sys.stdout.write(_dumps(record))
     else:
-        code = report.spec.generator()
+        _, G = read_code_record(record)
         print(f"theorem: {report.theorem}")
         print(f"field:   GF({F.q}) = GF({F.p}^{F.e}), modulus {list(F.modulus)}")
-        print(f"code:    [{code.n}, {code.k}] over GF({F.q})")
+        print(f"code:    [{G.shape[1]}, {len(G)}] over GF({F.q})")
         print(f"params:  {json.dumps(report.params, sort_keys=True)}")
         if report.verified is not None:
             print(f"verified: {json.dumps(report.verified, sort_keys=True)}")
         print("generator:")
-        for row in code.gen:
+        for row in G.tolist():
             print("  " + " ".join(f"{x:>3d}" for x in row))
     return EXIT_OK
 
@@ -121,8 +121,8 @@ def cmd_construct(args) -> int:
 
 
 def _load_code(path: str, budget: int) -> LinearCode:
-    """The code of a JSON record: its field, elements, shape and n, then
-    mds_route, and only then G Gt and the elimination, so over budget is cheap."""
+    """The code of a JSON record: read_code_record's checks, then mds_route,
+    and only then G Gt and the elimination, so over budget is cheap."""
     try:
         if path == "-":
             data = json.load(sys.stdin)
@@ -131,13 +131,7 @@ def _load_code(path: str, budget: int) -> LinearCode:
                 data = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParameterError(f"cannot read code file {path!r}: {exc}")
-    try:
-        F = Field.from_dict(data["field"])
-        G = _generator_array(F, data["generator"], data.get("n"))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, LcdMdsError):
-            raise
-        raise ParameterError(f"malformed code file {path!r}: {exc}")
+    F, G = read_code_record(data)
     mds_route(F.q, G.shape[1], len(G), budget)
     return LinearCode(F, G)
 

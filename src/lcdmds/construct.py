@@ -25,7 +25,7 @@ from typing import Callable
 from .errors import NoConstructionApplies, ParameterError, TheoremViolation
 from .fields import Field, json_int
 from .grs import GrsSpec, difference_products, dual_multipliers
-from .linear import DEFAULT_BUDGET, mds_route
+from .linear import DEFAULT_BUDGET, code_record, mds_route
 
 THEOREM_EXTENDED = "ExtendedQPlus1"
 THEOREM_DIVISOR = "DivisorOfQMinus1"
@@ -41,9 +41,9 @@ class ConstructionReport:
     verified: dict | None = None
 
     def to_dict(self) -> dict:
-        """JSON-ready report: the code's record, which verify reads, plus the construction."""
+        """JSON-ready report: the code's record, from the spec's rows, plus the construction."""
         return {
-            **self.spec.generator().to_dict(),
+            **code_record(self.spec.field, self.spec._rows),
             "theorem": self.theorem,
             "spec": self.spec.to_dict(),
             "params": self.params,

@@ -107,14 +107,16 @@ class GrsSpec:
         return self.n + 1 if self.extended else self.n
 
     def generator(self) -> linear.LinearCode:
-        """The k x length Vandermonde-with-multipliers generator matrix.
-
-        Built once per spec; every call returns the same LinearCode.
-        """
+        """The LinearCode of _rows, made once per spec and only to judge the code."""
         return self._generator
 
     @cached_property
     def _generator(self) -> linear.LinearCode:
+        return linear.LinearCode(self.field, self._rows)
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The k x length Vandermonde-with-multipliers generator matrix, read-only."""
         arrays = self.field.arrays
         multipliers = np.array(self.multipliers, dtype=np.int64)
         locators = np.array(self.locators, dtype=np.int64)
@@ -125,7 +127,8 @@ class GrsSpec:
             powers = arrays.mul(powers, locators)
         if self.extended:
             rows[-1, -1] = 1
-        return linear.LinearCode(self.field, rows)
+        rows.flags.writeable = False
+        return rows
 
     def _scaled_values(self, f: Poly, scale) -> list[int]:
         """(s_1 f(a_1), ..., s_n f(a_n)) for a message f of degree < k."""

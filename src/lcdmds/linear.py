@@ -16,7 +16,8 @@ the rows in one loop, weighing a span of the last rows, within 2^8
 BATCH_ENTRIES entries, against one target n-vector at a time.
 _matrix checks a list of rows element by element, or an int64 array by one
 range test; _generator_array adds every generator rule but the rank, so a
-caller can meet the budget before any elimination. A LinearCode keeps G as a
+code record's one reader, read_code_record (code_record is its one writer),
+lets verify meet the budget before any elimination. A LinearCode keeps G as a
 read-only array and k - rank(G Gt), the hull dimension (Massey 1992), from
 one k x k elimination of G Gt. As rank(G Gt) <= rank(G), a nonsingular G Gt
 proves the rows independent; only a singular one asks for the RREF of G,
@@ -32,7 +33,7 @@ from math import comb, log10
 
 import numpy as np
 
-from .errors import BudgetExceeded, ParameterError
+from .errors import BudgetExceeded, LcdMdsError, ParameterError
 from .fields import Field, json_int
 
 # The one default work budget, for the library and the CLI alike: at most
@@ -438,13 +439,23 @@ class LinearCode:
     # -- serialization --
 
     def to_dict(self) -> dict:
-        return {
-            "field": self.field.to_dict(),
-            "n": self.n,
-            "k": self.k,
-            "generator": self.array.tolist(),
-        }
+        return code_record(self.field, self.array)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearCode":
-        return cls(Field.from_dict(d["field"]), d["generator"], n=d.get("n"))
+        F, G = read_code_record(d)
+        return cls(F, G, n=G.shape[1])
+
+
+def code_record(field: Field, G) -> dict:
+    """The JSON record (field, n, k, generator) of the code G generates, with no LinearCode made."""
+    return {"field": field.to_dict(), "n": G.shape[1], "k": len(G), "generator": G.tolist()}
+
+
+def read_code_record(d) -> tuple[Field, np.ndarray]:
+    """(field, G checked by _generator_array) from a code record; ParameterError if malformed."""
+    try:
+        F = Field.from_dict(d["field"])
+        return F, _generator_array(F, d["generator"], d.get("n"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise exc if isinstance(exc, LcdMdsError) else ParameterError(f"malformed code record: {exc}")

@@ -123,12 +123,31 @@ def test_construct_rejects_overrides_the_family_does_not_take(capsys):
         assert run(capsys, "construct", "--q", "7", *cell)[0] == 0
 
 
-def test_construct_skip_verify(capsys):
+def test_construct_skip_verify(capsys, monkeypatch, eliminations):
     rc, out, _ = run(
         capsys, "construct", "--q", "5", "--n", "4", "--k", "2", "--skip-verify"
     )
     assert rc == 0
     assert json.loads(out)["verified"] is None
+    # a report writes its code record from the spec's rows: in either format,
+    # and from construct_auto(...).to_dict(), no LinearCode is made, so there
+    # is no G Gt and no elimination; the record is the code's own
+    inits = []
+    init = lcdmds.linear.LinearCode.__init__
+    monkeypatch.setattr(lcdmds.linear.LinearCode, "__init__",
+                        lambda self, *args, **kw: inits.append(args) or init(self, *args, **kw))
+    argv = ("construct", "--q", "7", "--n", "8", "--k", "3", "--skip-verify")
+    rc, out, _ = run(capsys, *argv)
+    rc_text, text, _ = run(capsys, *argv, "--format", "text")
+    reports = [lcdmds.construct_auto(lcdmds.field(7), n, 3) for n in (8, 6)]  # extended, and not
+    records = [report.to_dict() for report in reports]
+    assert (rc, rc_text, inits, eliminations) == (0, 0, [], [])
+    record = json.loads(out)
+    assert record == records[0] and "code:    [8, 3] over GF(7)" in text
+    assert text.split("generator:\n")[1].split() == [str(x) for row in record["generator"] for x in row]
+    for report, record in zip(reports, records):
+        code = report.spec.generator().to_dict()
+        assert {key: record[key] for key in code} == code
 
 
 def test_construct_reads_its_budget_before_it_builds(capsys, monkeypatch):
@@ -496,6 +515,27 @@ def test_sweep_over_budget_rows_exit_5(capsys, tmp_path):
         assert row["status"] == "budget_exceeded" and row["verified"] is False
         assert row["hull_dimension"] is row["is_mds"] is row["mds_route"] is None
         assert row["min_distance"] is None
+
+
+def test_sweep_verdicts_agree_across_budgets(capsys, tmp_path):
+    # a row decided at two budgets, violations included, keeps its hull and
+    # MDS verdict, though budget 300 sends many rows from enumeration to the
+    # column-subset route; past q = 13 the lengths stop at 13
+    path = tmp_path / "sweep.json"
+    decided = moved = 0
+    for q in (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31):
+        n_max = ("--n-max", "13") if q > 13 else ()
+        rows = []
+        for budget in ((), ("--budget", "300")):
+            run(capsys, "sweep", "--q", str(q), *n_max, *budget, "--output", str(path))
+            rows.append({(r["n"], r["k"]): r for r in json.loads(path.read_text())["rows"]
+                         if r["status"] not in ("budget_exceeded", "no_construction")})
+        for cell in rows[0].keys() & rows[1].keys():
+            ours, other = rows[0][cell], rows[1][cell]
+            assert (ours["hull_dimension"], ours["is_mds"]) == (other["hull_dimension"], other["is_mds"])
+            decided += 1
+            moved += ours["mds_route"] != other["mds_route"]
+    assert decided > moved > 0
 
 
 def test_sweep_unwritable_output_exits_2(capsys, tmp_path):

@@ -1056,15 +1056,16 @@ def _copied_column_grs():
 
 
 # (code, its hull dimension, whether it is MDS), each verified at budget
-# C(n, k), which fits where q^k does not: six constructed cells past q = 13,
-# five families among them, which the certificate decides; the codes it
-# declines, whose walk runs on G ([6, 3], [10, 3]) and on the dual side
-# ([10, 7]); a self-orthogonal RS code, not LCD; and a GRS code with one
-# column copied over another, not MDS
+# C(n, k), which fits where q^k does not: eight constructed cells past
+# q = 13, two of them at q = 81 and all five families among them, which the
+# certificate decides; the codes it declines, whose walk runs on G ([6, 3],
+# [10, 3]) and on the dual side ([10, 7]); a self-orthogonal RS code, not
+# LCD; and a GRS code with one column copied over another, not MDS
 METAMORPHIC_CODES = {
     **{f"q{q}-[{n},{k}]": (lambda q=q, n=n, k=k: lcdmds.construct_auto(
         field_from_order(q), n, k).spec.generator(), 0, True)
-       for q, n, k in ((25, 13, 6), (25, 26, 3), (27, 9, 4), (27, 13, 5), (31, 16, 5), (31, 29, 3))},
+       for q, n, k in ((25, 13, 6), (25, 26, 3), (27, 9, 4), (27, 13, 5), (31, 16, 5), (31, 29, 3),
+                       (81, 82, 4), (81, 40, 7))},
     **{f"non-conic-{p}": (lambda p=p, gen=gen: LinearCode(field(p), gen), 0, True) for p, gen in NON_CONIC},
     "seeded-[10,7]": (seeded_10_7, 0, True),
     "rs-[25,5]": (rs_25_5, 5, True),
@@ -1077,7 +1078,9 @@ def test_verdicts_are_kept_by_equivalences_and_the_dual(name):
     # a new basis T G, a column permutation and +-1 column signs keep G Gt up
     # to T, so the hull, LCD and MDS; any nonzero column scaling keeps MDS
     # but not always the hull (Carlet et al. 2018); the dual keeps the hull
-    # dimension and MDS (Massey 1992, MacWilliams and Sloane ch. 11)
+    # dimension and MDS (Massey 1992, MacWilliams and Sloane ch. 11);
+    # puncturing and shortening an MDS code give MDS codes (Singleton bound),
+    # though a code that is not MDS may give either
     make, hull, mds = METAMORPHIC_CODES[name]
     code = make()
     F, n, k = code.field, code.n, code.k
@@ -1100,6 +1103,13 @@ def test_verdicts_are_kept_by_equivalences_and_the_dual(name):
         image = LinearCode(F, gen)
         seen = image.verdict(budget=comb(n, k))
         assert {key: seen[key] for key in kept} == {key: verdict[key] for key in kept}
+    # shortening C at j is the dual of the puncture of C's dual at j
+    j = rng.randrange(n)
+    punctured = LinearCode(F, [row[:j] + row[j + 1 :] for row in code.gen])
+    shortened = LinearCode(F, [row[:j] + row[j + 1 :] for row in code.dual().gen]).dual()
+    assert (punctured.n, punctured.k, shortened.n, shortened.k) == (n - 1, k, n - 1, k - 1)
+    for image in (punctured, shortened):
+        assert image.verdict(budget=comb(n, k))["is_mds"] or not mds
 
 
 def test_mds_check_routes_and_budget():
@@ -1179,3 +1189,9 @@ def test_code_serialization_roundtrip():
     other = LinearCode.from_dict(code.to_dict())
     assert other.gen == code.gen and other.field == code.field
     assert repr(other) == "LinearCode([4,2] over GF(5))"
+    empty = LinearCode(F5, [], n=3)
+    assert LinearCode.from_dict(empty.to_dict()).to_dict() == empty.to_dict()
+    # read_code_record, the one reader, turns a malformed record into ParameterError
+    for record in ({}, {"field": F5.to_dict(), "n": 4}, [code.to_dict()], {"field": 5, "generator": [[1]]}):
+        with pytest.raises(ParameterError, match="malformed code record"):
+            LinearCode.from_dict(record)
