@@ -12,20 +12,21 @@ extended flag. The scale is s_i = v_i^2 / u_i, where u_i = prod_{j != i}
 (a_i - a_j)^(-1) for a plain spec and u_i = 1 for an extended one: there the
 locators are all of GF(q), and the sum of a^t over a in GF(q) is 0 for
 t < q - 1 and -1 for t = q - 1, which the extra coordinate cancels.
-Membership of a codeword in the dual can be decided without any linear
-algebra from the witness polynomial through the scaled values: in_dual reads
-its degree off its Newton coefficients (poly.divided_differences), with no
-monomial form built, independent of the null-space machinery in linear.py.
+Membership of a codeword in the dual is decided without linear algebra,
+independent of linear.py: in_dual reads the degree of the witness polynomial
+through the scaled values off its Newton coefficients (divided_differences),
+from two read-only tables it makes on its first call: the powers s_i a_i^t,
+t < k (n k entries), and poly.inverse_differences of the locators (n(n-1)/2).
 
 Every multiplier the constructions need, the u_i above among them, is a
 product of differences of locators; difference_products computes each one
 as a sum of logs on the field's tables, in batches of linear.BATCH_ENTRIES.
 
 A GrsSpec checks its locators, multipliers, k and extended flag when it is
-made (from_dict only unpacks), and a Poly its messages, so dual(), the
-in_dual scale and the point lists of codeword and in_dual run unchecked on
-the field's tables; only the public dual_multipliers, called once for the
-scale, checks the locators again.
+made (from_dict unpacks, and raises ParameterError on a malformed record),
+and a Poly its messages, so dual(), codeword and in_dual run unchecked on the
+field's tables; dual_multipliers and inverse_differences, called once per
+spec for in_dual's tables, check the locators again.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from functools import cached_property
 import numpy as np
 
 from . import linear
-from .errors import FieldMismatch, ParameterError
+from .errors import FieldMismatch, LcdMdsError, ParameterError
 from .fields import Field, json_int
-from .poly import Poly, divided_differences, interpolate  # noqa: F401 (perfbench wraps grs.interpolate)
+from .poly import Poly, divided_differences, inverse_differences
+from .poly import interpolate  # noqa: F401 (perfbench wraps grs.interpolate)
 
 
 def difference_products(F: Field, points, others) -> np.ndarray:
@@ -117,31 +119,35 @@ class GrsSpec:
     @cached_property
     def _rows(self) -> np.ndarray:
         """The k x length Vandermonde-with-multipliers generator matrix, read-only."""
-        arrays = self.field.arrays
-        multipliers = np.array(self.multipliers, dtype=np.int64)
-        locators = np.array(self.locators, dtype=np.int64)
-        rows = np.zeros((self.k, self.length), dtype=np.int64)
-        powers = np.ones(self.n, dtype=np.int64)  # a^r, with 0^0 = 1
-        for r in range(self.k):
-            rows[r, : self.n] = arrays.mul(multipliers, powers)
-            powers = arrays.mul(powers, locators)
+        rows = self._vandermonde(self.multipliers, self.length)
         if self.extended:
             rows[-1, -1] = 1
         rows.flags.writeable = False
         return rows
 
-    def _scaled_values(self, f: Poly, scale) -> list[int]:
-        """(s_1 f(a_1), ..., s_n f(a_n)) for a message f of degree < k."""
-        F = self.field
-        if f.field != F:
-            raise FieldMismatch(f"{f.field!r} vs {F!r}")
+    def _vandermonde(self, scale, width: int) -> np.ndarray:
+        """The k x width matrix of s_i a_i^r, r < k, with zeros past column n."""
+        arrays = self.field.arrays
+        scale = np.array(scale, dtype=np.int64)
+        locators = np.array(self.locators, dtype=np.int64)
+        rows = np.zeros((self.k, width), dtype=np.int64)
+        powers = np.ones(self.n, dtype=np.int64)  # a^r, with 0^0 = 1
+        for r in range(self.k):
+            rows[r, : self.n] = arrays.mul(scale, powers)
+            powers = arrays.mul(powers, locators)
+        return rows
+
+    def _check_message(self, f: Poly) -> None:
+        """FieldMismatch or ParameterError unless f, over the field, has degree < k."""
+        if f.field != self.field:
+            raise FieldMismatch(f"{f.field!r} vs {self.field!r}")
         if f.degree > self.k - 1:
             raise ParameterError(f"message degree {f.degree} exceeds k - 1 = {self.k - 1}")
-        return [F._mul(s, f.eval(a)) for s, a in zip(scale, self.locators)]
 
     def codeword(self, f: Poly) -> tuple[int, ...]:
         """(v_1 f(a_1), ..., v_n f(a_n)), plus f_(k-1) when extended."""
-        word = self._scaled_values(f, self.multipliers)
+        self._check_message(f)
+        word = [self.field._mul(v, f.eval(a)) for v, a in zip(self.multipliers, self.locators)]
         if self.extended:
             word.append(f.coeff(self.k - 1))
         return tuple(word)
@@ -160,11 +166,22 @@ class GrsSpec:
         With d = length - k, the interpolant g through (a_i, s_i f(a_i)) must
         have deg g < d, and when extended also g_(d-1) = f_(k-1). Its Newton
         coefficients d_j answer both: d_j = 0 for every j >= d, and then
-        d_(d-1) is g_(d-1).
+        d_(d-1) is g_(d-1). A call reads the spec's two tables: no Poly.eval, no inverse.
         """
-        d = self.length - self.k
-        g = divided_differences(self.field, self.locators, self._scaled_values(f, self._dual_scale))
+        self._check_message(f)
+        F, submul, ys = self.field, self.field._submul, [0] * self.n
+        for minus_c, powers in zip([F._neg[c] for c in f.coeffs], self._dual_powers):
+            ys = [submul(y, minus_c, power) for y, power in zip(ys, powers)]  # y_i + f_t s_i a_i^t
+        g, d = divided_differences(F, ys, self._inverse_differences), self.length - self.k
         return not any(g[d:]) and (not self.extended or g[d - 1] == f.coeff(self.k - 1))
+
+    @cached_property
+    def _dual_powers(self) -> tuple[tuple[int, ...], ...]:  # s_i a_i^t, one row per t < k
+        return tuple(map(tuple, self._vandermonde(self._dual_scale, self.n).tolist()))
+
+    @cached_property
+    def _inverse_differences(self) -> tuple[tuple[int, ...], ...]:
+        return inverse_differences(self.field, self.locators)
 
     @cached_property
     def _dual_scale(self) -> tuple[int, ...]:
@@ -184,10 +201,9 @@ class GrsSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GrsSpec":
-        return cls(
-            Field.from_dict(d["field"]),
-            tuple(d["locators"]),
-            tuple(d["multipliers"]),
-            d["k"],
-            d.get("extended", False),
-        )
+        """The spec of a record from to_dict; ParameterError if malformed."""
+        try:
+            F, k, extended = Field.from_dict(d["field"]), d["k"], d.get("extended", False)
+            return cls(F, tuple(d["locators"]), tuple(d["multipliers"]), k, extended)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise exc if isinstance(exc, LcdMdsError) else ParameterError(f"malformed spec: {exc}")

@@ -8,7 +8,7 @@ Elements are checked where they enter (the coefficients given to Poly, the x
 given to eval, the points given to interpolate), and the Horner and
 divided-difference loops then run unchecked, one Field._submul (a - b c) a step.
 divided_differences, the Newton coefficients interpolate expands, checks
-nothing: its caller checks the points, and that the xs are distinct.
+nothing: it reads the table inverse_differences makes (and checks) once per xs.
 """
 
 from __future__ import annotations
@@ -63,15 +63,25 @@ class Poly:
         return f"Poly({self.field!r}, {terms})"
 
 
-def divided_differences(field: Field, xs, ys) -> list[int]:
+def inverse_differences(field: Field, xs) -> tuple[tuple[int, ...], ...]:
+    """The table 1/(x_i - x_(i-j)), row j = 1..m-1 for i = j..m-1; ParameterError on repeated xs."""
+    if len(set(xs)) != len(xs):
+        raise ParameterError("duplicate interpolation node")
+    inv, sub = field.inv, field.sub
+    return tuple(tuple(inv(sub(b, a)) for a, b in zip(xs, xs[j:])) for j in range(1, len(xs)))
+
+
+def divided_differences(field: Field, ys, inverses) -> list[int]:
     """Newton coefficients d_0..d_(m-1) of the interpolant through (x_i, y_i), for
-    checked ys and checked, pairwise distinct xs. Its degree is the last j with
-    d_j != 0, and d_j is then its leading coefficient."""
-    submul, mul, inv = field._submul, field._mul, field._inv
-    d = list(ys)
-    for j in range(1, len(d)):
-        for i in range(len(d) - 1, j - 1, -1):
-            d[i] = mul(submul(d[i], 1, d[i - 1]), inv[submul(xs[i], 1, xs[i - j])])
+    checked ys and the inverse_differences table of the xs. Its degree is the
+    last j with d_j != 0, and d_j is then its leading coefficient."""
+    submul, mul, d = field._submul, field._mul, list(ys)
+    for j, row in enumerate(inverses, 1):  # d_i = (d_i - d_(i-1)) / (x_i - x_(i-j)), i >= j
+        low = d[j - 1]  # d_(i-1) as the previous row left it
+        for i, w in enumerate(row, j):
+            high = d[i]
+            d[i] = mul(submul(high, 1, low), w)
+            low = high
     return d
 
 
@@ -84,12 +94,10 @@ def interpolate(field: Field, points) -> Poly:
     if not pts:
         raise ParameterError("interpolation needs at least one point")
     xs = [field.check(x) for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ParameterError("duplicate interpolation node")
     ys = [field.check(y) for _, y in pts]
 
     submul, m = field._submul, len(pts)
-    d = divided_differences(field, xs, ys)
+    d = divided_differences(field, ys, inverse_differences(field, xs))
     # Horner-expand the Newton form: multiply by X - x_j, then add d_j
     out = [0] * m
     out[0] = d[m - 1]

@@ -7,10 +7,11 @@ import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lcdmds.cli
@@ -23,6 +24,9 @@ from lcdmds import (
     TheoremViolation,
 )
 from lcdmds.cli import build_parser, main
+from lcdmds.construct import FAMILIES, applicable_conditions
+from lcdmds.fields import field, prime_power
+from lcdmds.linear import DEFAULT_BUDGET
 
 pytestmark = pytest.mark.usefixtures("clean_budget_env")
 
@@ -271,6 +275,50 @@ def test_verify_fuzzed_records_exit_with_a_documented_code(
     path.write_text(json.dumps(record))
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(["verify", str(path)]) in (0, 1, 2, 5)
+
+
+ODD_Q_TO_31 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31]
+
+
+@st.composite
+def construct_argvs(draw):
+    """construct arguments: a cell over an odd q <= 31, some out of range, and
+    maybe a random --permutation, --gamma and --tail where the cell's family
+    takes them. Values are drawn from the whole field, so some are invalid."""
+    q = draw(st.sampled_from(ODD_Q_TO_31))
+    n = draw(st.integers(4, q + 1))
+    k = draw(st.integers(2, n // 2))
+    # one draw in four moves the cell out of range: k = 1, k > n/2 or n > q + 1
+    n, k = draw(st.sampled_from([(n, k)] * 9 + [(n, 1), (n, n // 2 + 1), (q + 2, k)]))
+    # a valid cell that no MDS route fits exits 5, which this test does not ask about
+    assume(not 1 < k <= n // 2 or q**k <= DEFAULT_BUDGET or comb(n, k) <= DEFAULT_BUDGET)
+    argv = ["construct", "--q", str(q), "--n", str(n), "--k", str(k)]
+    try:
+        tags = applicable_conditions(field(*prime_power(q)), n, k)
+    except ParameterError:
+        tags = []
+    takes = next((f.overrides for f in FAMILIES if tags and f.tag == tags[0]), ())
+    values = {
+        "permutation": st.permutations(range(q)),
+        "gamma": st.integers(0, q - 1).map(lambda gamma: [gamma]),
+        "tail": st.lists(st.integers(0, q - 1), min_size=1, max_size=k),
+    }
+    for name in takes:
+        if draw(st.booleans()):
+            argv += [f"--{name}", ",".join(map(str, draw(values[name])))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(argv=construct_argvs())
+def test_construct_fuzz_gives_a_verified_code_or_a_usage_exit(argv):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    if rc == 0:
+        verified = json.loads(out.getvalue())["verified"]
+        assert verified["hull_dimension"] == 0 and verified["is_mds"] is True, argv
+    else:
+        assert rc in (2, 3) and out.getvalue() == "", (argv, rc)
 
 
 def test_verify_huge_field_exits_2_at_once(capsys, tmp_path):

@@ -237,20 +237,24 @@ def test_in_dual_trivial_cases():
 
 
 def test_in_dual_scale_is_computed_once(monkeypatch):
-    calls = []
+    calls, tables = [], []
     real = lcdmds.grs.dual_multipliers
     monkeypatch.setattr(lcdmds.grs, "dual_multipliers", lambda *a: calls.append(a) or real(*a))
+    real_table = lcdmds.grs.inverse_differences
+    monkeypatch.setattr(lcdmds.grs, "inverse_differences", lambda *a: tables.append(a) or real_table(*a))
     spec = GrsSpec(field(7), (0, 1, 2, 3, 5), (1, 2, 3, 4, 6), 2)
     for coeffs in product(range(7), repeat=2):
         f = Poly(spec.field, list(coeffs))
         assert spec.in_dual(f) == in_dual_direct(spec, f)
     assert len(calls) == 1
+    assert tables == [(spec.field, spec.locators)]  # one table per spec, for all 49 messages
     # an extended spec's scale is v_i^2: it needs no dual multipliers at all
     ext = GrsSpec(field(7), tuple(range(7)), (1, 2, 3, 4, 5, 6, 1), 3, extended=True)
     for coeffs in product(range(7), repeat=3):
         f = Poly(ext.field, list(coeffs))
         assert ext.in_dual(f) == in_dual_direct(ext, f)
     assert len(calls) == 1
+    assert tables == [(spec.field, spec.locators), (ext.field, ext.locators)]  # and for all 343
 
 
 def test_in_dual_matches_direct_check_exhaustively():
@@ -405,6 +409,11 @@ def test_spec_serialization_roundtrip():
     for k in (2.5, "2"):  # never truncated or coerced
         with pytest.raises(ParameterError, match="must be an integer"):
             GrsSpec.from_dict({**spec.to_dict(), "k": k})
+    # a malformed record raises ParameterError, as LinearCode.from_dict does
+    no_locators = {key: value for key, value in spec.to_dict().items() if key != "locators"}
+    for record in ({}, [], no_locators, {**spec.to_dict(), "locators": 5}):
+        with pytest.raises(ParameterError, match="malformed spec"):
+            GrsSpec.from_dict(record)
 
 
 def test_spec_extended_must_be_a_json_bool():
