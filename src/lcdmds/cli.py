@@ -167,7 +167,7 @@ def _sweep_cell(F: Field, n: int, k: int, budget: int) -> dict:
     except TheoremViolation:
         row["status"] = "violation"
     row["verified"] = row["status"] == "ok"
-    row.update((key, report.verified[key]) for key in verdict_keys)
+    row.update((key, report.verified[key]) for key in verdict_keys if report.verified)
     return row
 
 

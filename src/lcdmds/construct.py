@@ -3,8 +3,9 @@
 Each construction returns a ConstructionReport holding the GRS spec it built
 plus every auxiliary choice it made (scaling element, root of unity, additive
 subgroup, searched multipliers), so a report can be re-checked from its
-parameters alone. verify_report then runs the generic hull and MDS oracles
-over the generator matrix and refuses to return a code that fails either.
+parameters alone. verify_report then proves the code from its spec, with no
+LinearCode (spec_verdict), and refuses to return one that is not LCD and MDS;
+lcdmds verify, given a record and no spec to trust, runs linear.py's oracles.
 
 All families need an odd prime power q > 3, a length n <= q + 1 and a
 dimension 1 < k <= floor(n/2) (larger k is covered by duality: the dual of an
@@ -22,10 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import NoConstructionApplies, ParameterError, TheoremViolation
 from .fields import Field, json_int
 from .grs import GrsSpec, difference_products, dual_multipliers
-from .linear import DEFAULT_BUDGET, code_record, mds_route
+from .linear import DEFAULT_BUDGET, ROUTE_ENUMERATION, code_record, mds_route
+from .linear import _enumerate_min_weight, _rref
+from .poly import linear_complexity
 
 THEOREM_EXTENDED = "ExtendedQPlus1"
 THEOREM_DIVISOR = "DivisorOfQMinus1"
@@ -328,22 +333,51 @@ def construct_auto(
     return family.build(F, n, k, **overrides)
 
 
+def power_sums(spec: GrsSpec) -> list[int]:
+    """h_0..h_(2k-2), with G G^T = (h_(s+t)) for G = spec._rows, once an O(kn)
+    check shows G is V diag(v) on distinct locators and nonzero multipliers,
+    with e_(k-1) as an extended spec's last column; else TheoremViolation (a
+    builder bug). Row products G[0] G[m] and G[k-1] G[m] give every index."""
+    F, n, k, G = spec.field, spec.n, spec.k, spec._rows
+    arrays, a, v = F.arrays, np.array(spec.locators), np.array(spec.multipliers)
+    V, extra = G[:, :n], [[0] * (k - 1) + [1]] if spec.extended else []
+    if not (G.shape == (k, spec.length) and (V[0] == v).all() and G[:, n:].T.tolist() == extra
+            and (V[1:] == arrays.mul(V[:-1], a)).all() and np.unique(a).size == n and v.all()):
+        raise TheoremViolation(f"rows of a [{spec.length}, {k}] spec are not its V diag(v): a bug")
+    terms = arrays.mul(G[[0] * k + [k - 1] * (k - 1)], G[[*range(k), *range(1, k)]])
+    return (arrays.digits[terms].sum(axis=1, dtype=np.int64) % F.p @ F.p ** np.arange(F.e)).tolist()
+
+
+def spec_verdict(spec: GrsSpec, budget: int = DEFAULT_BUDGET) -> dict:
+    """LinearCode(spec.field, spec._rows).verdict(budget), proven from the spec
+    once mds_route meets the budget: the hull is k - rank of (h_(s+t)), which
+    is nonsingular when power_sums have linear complexity k, else its RREF
+    gives the rank (Massey 1992). A GRS code is MDS: only the enumeration
+    route weighs codewords, for min_distance."""
+    F, n, k = spec.field, spec.length, spec.k
+    route = mds_route(F.q, n, k, budget)
+    h = power_sums(spec)
+    L = linear_complexity(F, h)
+    hull = 0 if L == k else k - len(_rref(F, np.array([h[r : r + k] for r in range(k)]))[1])
+    d = _enumerate_min_weight(F, spec._rows) if route == ROUTE_ENUMERATION else None
+    return {"hull_dimension": hull, "is_lcd": hull == 0, "is_mds": d in (None, n - k + 1),
+            "mds_route": route, "min_distance": d}
+
+
 def verify_report(report: ConstructionReport, budget: int = DEFAULT_BUDGET) -> ConstructionReport:
-    """Run the hull and MDS oracles over the report's generator matrix.
+    """Prove the report's code LCD and MDS from its spec (spec_verdict).
 
     Fills report.verified and returns the report; raises TheoremViolation if
-    the constructed code is not LCD or not MDS (which would be a bug, never
-    an acceptable outcome). BudgetExceeded is raised before the generator is
-    built when neither MDS route fits the budget.
+    the constructed code is not LCD or not MDS, or its rows are not its
+    spec's (each would be a bug, never an acceptable outcome).
+    BudgetExceeded is raised before any work when neither MDS route fits.
     """
     spec = report.spec
-    mds_route(spec.field.q, spec.length, spec.k, budget)
-    code = spec.generator()
-    v = report.verified = code.verdict(budget)
+    v = report.verified = spec_verdict(spec, budget)
     if not (v["is_lcd"] and v["is_mds"]):
         raise TheoremViolation(
             f"{report.theorem} produced a code with hull dimension {v['hull_dimension']}, "
-            f"MDS = {v['is_mds']} over {report.spec.field!r} "
-            f"(n = {code.n}, k = {code.k}); this is a bug"
+            f"MDS = {v['is_mds']} over {spec.field!r} "
+            f"(n = {spec.length}, k = {spec.k}); this is a bug"
         )
     return report

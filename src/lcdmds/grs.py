@@ -18,6 +18,9 @@ through the scaled values off its Newton coefficients (divided_differences),
 from two read-only tables it makes on its first call: the powers s_i a_i^t,
 t < k (n k entries), and poly.inverse_differences of the locators (n(n-1)/2).
 
+construct.spec_verdict proves a code, with no generator(), from the power sums
+h_m = sum v_i^2 a_i^m: G G^T is their Hankel matrix, +1 at h_(2k-2) if extended.
+
 Every multiplier the constructions need, the u_i above among them, is a
 product of differences of locators; difference_products computes each one
 as a sum of logs on the field's tables, in batches of linear.BATCH_ENTRIES.
@@ -109,7 +112,7 @@ class GrsSpec:
         return self.n + 1 if self.extended else self.n
 
     def generator(self) -> linear.LinearCode:
-        """The LinearCode of _rows, made once per spec and only to judge the code."""
+        """The LinearCode of _rows, made once per spec, for the generic oracles."""
         return self._generator
 
     @cached_property
@@ -181,7 +184,7 @@ class GrsSpec:
 
     @cached_property
     def _inverse_differences(self) -> tuple[tuple[int, ...], ...]:
-        return inverse_differences(self.field, self.locators)
+        return tuple(inverse_differences(self.field, self.locators))
 
     @cached_property
     def _dual_scale(self) -> tuple[int, ...]:

@@ -1,14 +1,15 @@
 """Generic linear codes over a Field, given by full-row-rank generator matrices.
 
-This module holds the verification oracles everything else is checked
+This module holds the generic oracles that verify runs and tests check
 against: RREF and rank, duals via null spaces, hull dimensions, and one MDS
 check, LinearCode.mds_check, whose two named routes mds_route picks from
 (q, n, k) and the budget: enumeration of one codeword per projective point,
-which also gives the minimum distance, and column subsets, every k-column
-submatrix nonsingular. That route first asks _grs_certificate, one RREF
-[I | A] of G and O(k(n - k)) checks that A is a generalized Cauchy matrix,
-which decides every GRS and extended GRS code; only a code it declines is
-walked, by eliminations shared along a prefix tree. Each of the walk's
+which also gives the minimum distance (construct.spec_verdict calls it too),
+and column subsets, every k-column submatrix nonsingular. That route first
+asks _grs_certificate, one RREF [I | A] of G and O(k(n - k)) checks that A
+is a generalized Cauchy matrix, which decides every GRS and extended GRS
+code; only a code it declines is walked, by eliminations shared along a
+prefix tree. Each of the walk's
 pivot steps updates only the r - 1 rows it keeps, a chunk at a time sized
 by the child it makes, and when 2k > n it walks the n - k rows of a dual
 generator, as a code is MDS iff its dual is. The enumeration goes up
@@ -191,6 +192,49 @@ def _minus_span(arrays, q: int, t, rows):
         yield t
 
 
+def _enumerate_min_weight(F: Field, G) -> int:
+    """Minimum weight of the code of a checked, full-rank (k, n) array G,
+    over one nonzero codeword per projective point.
+
+    c*x weighs as much as x for every nonzero c, so only messages whose
+    first nonzero entry is 1 are weighed: (q^k - 1)/(q - 1) codewords.
+    A span of codewords holds the last rows r + 1..k - 1, the most whose
+    e n q^(k-1-r) digit entries stay within 2^8 BATCH_ENTRIES ([10, 6]
+    over GF(9) ends at 1,180,980), and only their multiples are built.
+    Going up from the last row, row i leads the codewords G[i] + h + s,
+    s in the span held so far and h in the span of rows i + 1..r (h = 0
+    for i >= r). Each h is weighed by one comparison of the span with the
+    digits of the n-vector -(G[i] + h) from _minus_span: a digit of
+    x + y is zero exactly where x's digit is that of -y. Then, for i > r,
+    the span grows by every multiple of G[i]. A set of m codewords is
+    an (e, n, m) array of base-p digits, unsigned and wide enough for
+    2(p - 1), so min(s, s - p) reduces a sum s mod p (s - p wraps around
+    when s < p).
+    """
+    arrays, (k, n) = F.arrays, G.shape
+    p, e, q = F.p, F.e, F.q
+    digits = arrays.digits.T
+    dtype, count = digits.dtype.type, np.min_scalar_type(n)
+    r = k - 1
+    while r and e * n * q ** (k - r) <= 2**8 * BATCH_ENTRIES:
+        r -= 1
+    # multiples[:, i - r - 1, :, c] is the (e, n) digit array of c * G[i]
+    multiples = np.take(digits, arrays.mul(G[r + 1 :, :, None], np.arange(q)), axis=1)
+
+    span, best = np.zeros((e, n, 1), dtype=dtype), n
+    for i in range(k - 1, -1, -1):
+        # h = 0 alone while i >= r
+        lead = arrays.neg[G[i]]
+        for t in (lead,) if i >= r else _minus_span(arrays, q, lead, G[i + 1 : r + 1]):
+            weights = reduce(np.logical_or, span != digits[:, t, None]).sum(axis=0, dtype=count)
+            best = min(best, int(weights.min()))
+        if i > r:
+            grown = np.add(span[:, :, None, :], multiples[:, i - r - 1, :, :, None], order="C")
+            span = grown.reshape(e, n, -1)
+            np.minimum(span, span - dtype(p), out=span)
+    return best
+
+
 class LinearCode:
     """An [n, k] linear code; the generator must have full row rank.
 
@@ -251,49 +295,7 @@ class LinearCode:
     def is_lcd(self) -> bool:
         return self.hull_dimension() == 0
 
-    # -- the MDS check and its two route kernels --
-
-    def _enumerate_min_weight(self) -> int:
-        """Minimum weight over one nonzero codeword per projective point.
-
-        c*x weighs as much as x for every nonzero c, so only messages whose
-        first nonzero entry is 1 are weighed: (q^k - 1)/(q - 1) codewords.
-        A span of codewords holds the last rows r + 1..k - 1, the most whose
-        e n q^(k-1-r) digit entries stay within 2^8 BATCH_ENTRIES ([10, 6]
-        over GF(9) ends at 1,180,980), and only their multiples are built.
-        Going up from the last row, row i leads the codewords gen[i] + h + s,
-        s in the span held so far and h in the span of rows i + 1..r (h = 0
-        for i >= r). Each h is weighed by one comparison of the span with the
-        digits of the n-vector -(gen[i] + h) from _minus_span: a digit of
-        x + y is zero exactly where x's digit is that of -y. Then, for i > r,
-        the span grows by every multiple of gen[i]. A set of m codewords is
-        an (e, n, m) array of base-p digits, unsigned and wide enough for
-        2(p - 1), so min(s, s - p) reduces a sum s mod p (s - p wraps around
-        when s < p).
-        """
-        F, arrays, G = self.field, self.field.arrays, self.array
-        p, e, q = F.p, F.e, F.q
-        n, k = self.n, self.k
-        digits = arrays.digits.T
-        dtype, count = digits.dtype.type, np.min_scalar_type(n)
-        r = k - 1
-        while r and e * n * q ** (k - r) <= 2**8 * BATCH_ENTRIES:
-            r -= 1
-        # multiples[:, i - r - 1, :, c] is the (e, n) digit array of c * gen[i]
-        multiples = np.take(digits, arrays.mul(G[r + 1 :, :, None], np.arange(q)), axis=1)
-
-        span, best = np.zeros((e, n, 1), dtype=dtype), n
-        for i in range(k - 1, -1, -1):
-            # h = 0 alone while i >= r
-            lead = arrays.neg[G[i]]
-            for t in (lead,) if i >= r else _minus_span(arrays, q, lead, G[i + 1 : r + 1]):
-                weights = reduce(np.logical_or, span != digits[:, t, None]).sum(axis=0, dtype=count)
-                best = min(best, int(weights.min()))
-            if i > r:
-                grown = np.add(span[:, :, None, :], multiples[:, i - r - 1, :, :, None], order="C")
-                span = grown.reshape(e, n, -1)
-                np.minimum(span, span - dtype(p), out=span)
-        return best
+    # -- the MDS check and its route kernels --
 
     def _grs_certificate(self) -> bool | None:
         """Whether every k-subset of generator columns is nonsingular, read
@@ -414,7 +416,7 @@ class LinearCode:
         the subsets.
         """
         if mds_route(self.field.q, self.n, self.k, budget) == ROUTE_ENUMERATION:
-            d = self._enumerate_min_weight()
+            d = _enumerate_min_weight(self.field, self.array)
             return d == self.n - self.k + 1, ROUTE_ENUMERATION, d
         mds = self._grs_certificate()
         if mds is None:

@@ -8,7 +8,8 @@ Elements are checked where they enter (the coefficients given to Poly, the x
 given to eval, the points given to interpolate), and the Horner and
 divided-difference loops then run unchecked, one Field._submul (a - b c) a step.
 divided_differences, the Newton coefficients interpolate expands, checks
-nothing: it reads the table inverse_differences makes (and checks) once per xs.
+nothing: it reads the rows inverse_differences makes (and checks) per xs, one
+at a time, so interpolate runs in O(m) memory. Nor does linear_complexity.
 """
 
 from __future__ import annotations
@@ -63,18 +64,19 @@ class Poly:
         return f"Poly({self.field!r}, {terms})"
 
 
-def inverse_differences(field: Field, xs) -> tuple[tuple[int, ...], ...]:
-    """The table 1/(x_i - x_(i-j)), row j = 1..m-1 for i = j..m-1; ParameterError on repeated xs."""
+def inverse_differences(field: Field, xs):
+    """Rows j = 1..m-1 of 1/(x_i - x_(i-j)), i = j..m-1, each made as it is
+    read (a table is their tuple); ParameterError on repeated xs, at once."""
     if len(set(xs)) != len(xs):
         raise ParameterError("duplicate interpolation node")
     inv, sub = field.inv, field.sub
-    return tuple(tuple(inv(sub(b, a)) for a, b in zip(xs, xs[j:])) for j in range(1, len(xs)))
+    return (tuple(inv(sub(b, a)) for a, b in zip(xs, xs[j:])) for j in range(1, len(xs)))
 
 
 def divided_differences(field: Field, ys, inverses) -> list[int]:
     """Newton coefficients d_0..d_(m-1) of the interpolant through (x_i, y_i), for
-    checked ys and the inverse_differences table of the xs. Its degree is the
-    last j with d_j != 0, and d_j is then its leading coefficient."""
+    checked ys and the rows of inverse differences of the xs, in order. Its
+    degree is the last j with d_j != 0, and d_j is then its leading coefficient."""
     submul, mul, d = field._submul, field._mul, list(ys)
     for j, row in enumerate(inverses, 1):  # d_i = (d_i - d_(i-1)) / (x_i - x_(i-j)), i >= j
         low = d[j - 1]  # d_(i-1) as the previous row left it
@@ -106,3 +108,22 @@ def interpolate(field: Field, points) -> Poly:
             out[t] = submul(out[t - 1], out[t], xs[j])
         out[0] = submul(d[j], out[0], xs[j])
     return Poly(field, out)
+
+
+def linear_complexity(field: Field, s) -> int:
+    """The length L of the shortest recurrence s_j + c_1 s_(j-1) + ... +
+    c_L s_(j-L) = 0, j >= L, of a checked sequence, by Berlekamp-Massey (1969)."""
+    submul, mul, inv, neg = field._submul, field._mul, field._inv, field._neg
+    c, b, last, L, shift = [1], [1], 1, 0, 1
+    for j, d in enumerate(s):
+        for i in range(1, L + 1):
+            d = submul(d, neg[c[i]], s[j - i])  # d + c_i s_(j-i), the discrepancy
+        if d:
+            old, ratio = c, mul(d, inv[last])
+            c = c + [0] * (len(b) + shift - len(c))
+            for i, bi in enumerate(b, shift):
+                c[i] = submul(c[i], ratio, bi)  # c - (d / last) x^shift b
+            if 2 * L <= j:
+                L, b, last, shift = j + 1 - L, old, d, 0
+        shift += 1
+    return L

@@ -35,7 +35,7 @@ from lcdmds import (
     verify_report,
 )
 from lcdmds.cli import main as cli_main
-from lcdmds.construct import THEOREM_PRIME_POWER
+from lcdmds.construct import THEOREM_PRIME_POWER, spec_verdict
 
 QS = (5, 7, 9, 11, 13)
 BUDGET = 10**6
@@ -252,6 +252,19 @@ def test_criterion_08_hull_routes_cross_check(grid):
         "PASS criterion 8: Gram-rank hull equals stacked-rank intersection on all "
         "grid codes plus 200 random codes"
     )
+
+
+def test_spec_verdicts_match_the_generic_oracles(grid):
+    # verify_report proves a report from its spec; on every covered grid cell
+    # and on its dual spec, that verdict is the one LinearCode's G Gt
+    # elimination and MDS check give for the spec's rows
+    cells, _ = grid
+    for c in covered(cells):
+        spec = c.report.spec
+        for s, verdict in ((spec, c.report.verified), (spec.dual(), None)):
+            expected = LinearCode(s.field, s._rows).verdict(BUDGET)
+            assert (verdict or spec_verdict(s, BUDGET)) == expected, (c.q, s.length, s.k)
+    print("PASS: spec verdicts equal the generic oracles' on the grid codes and their duals")
 
 
 def test_criterion_09_negative_controls():

@@ -491,6 +491,29 @@ def test_verify_meets_the_budget_before_any_elimination(capsys, tmp_path, elimin
     assert eliminations == ["_product", "_rref", "_rref"]
 
 
+def test_construct_and_sweep_prove_codes_from_their_specs(capsys, tmp_path, monkeypatch, eliminations):
+    # verify_report proves a report from its spec: it makes no LinearCode, no
+    # G Gt (_product) and no RREF of G, and as these codes are LCD their
+    # Hankel matrices have linear complexity k, so no k x k RREF either
+    inits = []
+    init = lcdmds.linear.LinearCode.__init__
+    monkeypatch.setattr(lcdmds.linear.LinearCode, "__init__",
+                        lambda self, *args, **kw: inits.append(args) or init(self, *args, **kw))
+    rc, out, _ = run(capsys, "construct", "--q", "27", "--n", "28", "--k", "5")
+    assert rc == 0 and json.loads(out)["verified"] == {
+        "hull_dimension": 0, "is_lcd": True, "is_mds": True,
+        "mds_route": "column_subsets", "min_distance": None,
+    }
+    path = tmp_path / "sweep.json"
+    assert run(capsys, "sweep", "--q", "9", "--output", str(path))[0] == 0
+    assert (inits, eliminations) == ([], [])
+    # the enumeration route still weighs the codewords, for min_distance
+    rows = [r for r in json.loads(path.read_text())["rows"] if r["status"] == "ok"]
+    enumerated = [r for r in rows if r["mds_route"] == "enumeration"]
+    assert len(enumerated) == len(rows) == 13
+    assert all(r["min_distance"] == r["n"] - r["k"] + 1 for r in enumerated)
+
+
 def test_budget_env_var(capsys, tmp_path, monkeypatch):
     rc, out, _ = run(capsys, "construct", "--q", "9", "--n", "9", "--k", "4")
     path = tmp_path / "big.json"

@@ -395,6 +395,36 @@ def test_verify_detects_tampering():
         verify_report(r)
 
 
+@pytest.mark.parametrize("build", [lambda: construct_divisor(F7, 6, 3), lambda: construct_extended(F5, 2)])
+def test_verify_rejects_rows_that_are_not_the_specs(build):
+    # verify_report proves a code from its spec, so it first checks that the
+    # emitted rows are the spec's V diag(v) with distinct locators and nonzero
+    # multipliers; a report that fails is a builder bug, never a verdict
+    def corrupt_entry(spec):
+        rows = spec._rows.copy()
+        rows[-1, 2] = (rows[-1, 2] + 1) % spec.field.q
+        spec.__dict__["_rows"] = rows
+
+    def corrupt_last_column(spec):
+        rows = spec._rows.copy()
+        rows[0, -1] = 1
+        spec.__dict__["_rows"] = rows
+
+    def repeat_locator(spec):
+        object.__setattr__(spec, "locators", (spec.locators[1],) + spec.locators[1:])
+
+    def zero_multiplier(spec):
+        object.__setattr__(spec, "multipliers", spec.multipliers[:-1] + (0,))
+
+    for plant in (corrupt_entry, corrupt_last_column, repeat_locator, zero_multiplier):
+        report = build()
+        plant(report.spec)
+        with pytest.raises(TheoremViolation, match="not its V diag"):
+            verify_report(report)
+        assert report.verified is None
+        assert verify_report(build()).verified["is_lcd"]
+
+
 def test_verify_budget_exceeded():
     r = construct_prime_power(F9, 2, 4)
     with pytest.raises(BudgetExceeded):

@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from lcdmds import (
     field_from_order,
 )
 from lcdmds import linear
+from lcdmds.construct import power_sums, spec_verdict
 from lcdmds.grs import difference_products
 
 F5 = field(5)
@@ -348,6 +350,31 @@ def test_hull_matches_the_hankel_matrix_of_the_spec():
     # the sample is not all LCD: 56 of its 200 specs have a nonzero hull (up
     # to 4) under hypothesis 6.155
     assert sum(h > 0 for h in hulls) >= 25
+
+
+def test_power_sums_give_the_gram_matrix_and_the_hull():
+    # the Hankel matrix of power_sums is G Gt from linear._product, entry for
+    # entry, and spec_verdict's hull (Berlekamp-Massey, then an RREF of that
+    # matrix when it is singular) is hankel_hull's, in characteristic 2 too
+    hulls = []
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(grs_specs(orders=((2, 3), (5, 1), (3, 2), (5, 2), (3, 3))))
+    def check(spec):
+        F, k, G = spec.field, spec.k, spec._rows
+        h = power_sums(spec)
+        assert [h[r : r + k] for r in range(k)] == linear._product(F, G, G.T).tolist()
+        hulls.append(spec_verdict(spec, comb(spec.length, k))["hull_dimension"])
+        assert hulls[-1] == hankel_hull(spec)
+
+    check()
+    assert sum(h > 0 for h in hulls) >= 25
+    # self-orthogonal RS codes, v = 1 on all of GF(q): every power sum h_m with
+    # m < q - 1 is 0, so the Hankel matrix is 0 and the hull is k
+    for F, k in ((field(5, 2), 5), (field(2, 3), 2), (field(3, 3), 13)):
+        spec = GrsSpec(F, tuple(range(F.q)), (1,) * F.q, k)
+        assert power_sums(spec) == [0] * (2 * k - 1)
+        assert spec_verdict(spec, comb(F.q, k))["hull_dimension"] == k == hankel_hull(spec)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)

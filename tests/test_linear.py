@@ -525,7 +525,7 @@ def test_enumeration_builds_multiples_of_rows_below_the_first_only(monkeypatch, 
     counted = lambda s, x, y: sizes.append(np.broadcast(x, y).size) or mul(s, x, y)  # noqa: E731
     monkeypatch.setattr(type(F.arrays), "mul", counted)
     monkeypatch.setattr(linear, "BATCH_ENTRIES", entries)
-    d = code._enumerate_min_weight()
+    d = linear._enumerate_min_weight(code.field, code.array)
     assert max(sizes, default=0) == held * n * F.q
     monkeypatch.undo()
     assert d == (min_distance_by_columns(code) if k <= 2 else brute_min_distance(code))
@@ -591,7 +591,7 @@ def test_enumeration_in_blocks_matches_bruteforce(code, entries):
     # one target for every h in the span of the rows after it; 256
     # (BATCH_ENTRIES = 1) stops the span after a few rows
     with mock.patch.object(linear, "BATCH_ENTRIES", entries):
-        d = code._enumerate_min_weight()
+        d = linear._enumerate_min_weight(code.field, code.array)
     assert d == brute_min_distance(code)
 
 
@@ -614,7 +614,7 @@ def test_enumeration_splits_at_every_row(monkeypatch, pe, n, k, seed):
         counted = lambda s, x, y: sizes.append(np.broadcast(x, y).size) or mul(s, x, y)  # noqa: E731
         monkeypatch.setattr(type(F.arrays), "mul", counted)
         monkeypatch.setattr(linear, "BATCH_ENTRIES", Fraction(F.e * n * F.q**m, 2**8))
-        assert code._enumerate_min_weight() == expected, m
+        assert linear._enumerate_min_weight(code.field, code.array) == expected, m
         assert max(sizes, default=0) == m * n * F.q, m
         monkeypatch.undo()
 
@@ -631,7 +631,7 @@ def test_enumeration_of_a_long_two_row_code_builds_no_multiples():
     code = random_full_rank_code(F, 3000, 2, random.Random(3000))
     tracemalloc.start()
     try:
-        d = code._enumerate_min_weight()
+        d = linear._enumerate_min_weight(code.field, code.array)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -655,14 +655,14 @@ def test_enumeration_keeps_its_arrays_within_the_bound():
     bound = BATCH_ENTRIES << 8
     tracemalloc.start()
     try:
-        d = code._enumerate_min_weight()
+        d = linear._enumerate_min_weight(code.field, code.array)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * bound, peak
     # one pass, the span grown by every row below the first
     with mock.patch.object(linear, "BATCH_ENTRIES", BATCH_ENTRIES << 1):
-        assert code._enumerate_min_weight() == d
+        assert linear._enumerate_min_weight(code.field, code.array) == d
 
 
 def test_is_mds_examples():

@@ -1,9 +1,13 @@
 import random
+import tracemalloc
+from itertools import product
 
+import numpy as np
 import pytest
 
 from lcdmds import FieldMismatch, GrsSpec, ParameterError, Poly, field, interpolate
-from lcdmds.poly import NEG_INF, divided_differences, inverse_differences
+from lcdmds.linear import _rref
+from lcdmds.poly import NEG_INF, divided_differences, inverse_differences, linear_complexity
 
 F5 = field(5)
 F7 = field(7)
@@ -64,7 +68,7 @@ def test_interpolate_roundtrip_random():
                 assert g.eval(x) == y
             # the last nonzero Newton coefficient sits at deg g and is its
             # leading coefficient; the zero polynomial has none
-            inverses = inverse_differences(F, xs)
+            inverses = tuple(inverse_differences(F, xs))
             d = divided_differences(F, ys, inverses)
             last = max((j for j, c in enumerate(d) if c), default=NEG_INF)
             assert last == g.degree and (g.is_zero() or d[last] == g.coeffs[-1])
@@ -117,3 +121,60 @@ def test_poly_is_immutable_value():
     assert hash(f) == hash(Poly(F5, [1, 2]))
     assert repr(Poly(F5, [1, 0, 3])) == "Poly(GF(5), 1 + 3*X^2)"
     assert repr(Poly(F5)) == "Poly(GF(5), 0)"
+
+
+def test_interpolate_holds_one_row_of_inverse_differences():
+    # 150 points over GF(3^8): the whole table of inverse differences would be
+    # 11,175 entries, 89 KB of tuple slots alone; interpolate makes one row at
+    # a time, so its traced peak stays within a few words a point
+    F = field(3, 8)
+    rng = random.Random(150)
+    points = [(x, rng.randrange(F.q)) for x in rng.sample(range(F.q), 150)]
+    tracemalloc.start()
+    try:
+        g = interpolate(F, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 8 * len(points), peak
+    assert all(g.eval(x) == y for x, y in points[::15])
+
+
+def hankel_rank(F, s, k):
+    return len(_rref(F, np.array([s[r : r + k] for r in range(k)], dtype=np.int64))[1])
+
+
+@pytest.mark.parametrize("q, k_max", [(3, 5), (5, 3)])
+def test_linear_complexity_gives_the_hankel_rank_of_every_sequence(q, k_max):
+    # rank H_k = min(L, 2k - L) for the k x k Hankel matrix of s_0..s_(2k-2)
+    # with linear complexity L (Jonckheere and Ma 1989): every sequence
+    F = field(q)
+    for k in range(1, k_max + 1):
+        for s in product(range(q), repeat=2 * k - 1):
+            L = linear_complexity(F, s)
+            assert min(L, 2 * k - L) == hankel_rank(F, s, k), s
+
+
+@pytest.mark.parametrize("pe", [(5, 2), (3, 3)])
+def test_linear_complexity_gives_the_hankel_rank_in_extension_fields(pe):
+    F = field(*pe)
+    rng = random.Random(F.q)
+    singular = set()
+    for _ in range(400):
+        k = rng.randint(1, 6)
+        s = [rng.randrange(F.q) for _ in range(2 * k - 1)]
+        # zero a random run, or copy a short recurrence's output, so that
+        # singular matrices are drawn often
+        if rng.random() < 0.3:
+            i = rng.randrange(len(s))
+            j = rng.randint(i + 1, len(s))
+            s[i:j] = [0] * (j - i)
+        elif rng.random() < 0.4 and k > 1:
+            c = rng.randrange(F.q)
+            for j in range(1, len(s)):
+                s[j] = F.mul(c, s[j - 1])
+        L = linear_complexity(F, s)
+        rank = hankel_rank(F, s, k)
+        assert min(L, 2 * k - L) == rank, s
+        singular.add(rank < k)
+    assert singular == {False, True}
