@@ -104,15 +104,14 @@ def cmd_construct(args) -> int:
     if args.format == "json":
         sys.stdout.write(_dumps(record))
     else:
-        _, G = read_code_record(record)
         print(f"theorem: {report.theorem}")
         print(f"field:   GF({F.q}) = GF({F.p}^{F.e}), modulus {list(F.modulus)}")
-        print(f"code:    [{G.shape[1]}, {len(G)}] over GF({F.q})")
+        print(f"code:    [{record['n']}, {record['k']}] over GF({F.q})")
         print(f"params:  {json.dumps(report.params, sort_keys=True)}")
         if report.verified is not None:
             print(f"verified: {json.dumps(report.verified, sort_keys=True)}")
         print("generator:")
-        for row in G.tolist():
+        for row in record["generator"]:
             print("  " + " ".join(f"{x:>3d}" for x in row))
     return EXIT_OK
 

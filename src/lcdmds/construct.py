@@ -2,10 +2,13 @@
 
 Each construction returns a ConstructionReport holding the GRS spec it built
 plus every auxiliary choice it made (scaling element, root of unity, additive
-subgroup, searched multipliers), so a report can be re-checked from its
-parameters alone. verify_report then proves the code from its spec, with no
-LinearCode (spec_verdict), and refuses to return one that is not LCD and MDS;
-lcdmds verify, given a record and no spec to trust, runs linear.py's oracles.
+subgroup, chosen multipliers), so a report can be re-checked from its
+parameters alone. The prime-power and large-n+k builders take their
+multipliers from closed forms of the dual multipliers u_i, stated in their
+docstrings, and compute no u_i. verify_report then proves the code from its
+spec, with no LinearCode (spec_verdict), and refuses to return one that is
+not LCD and MDS; lcdmds verify, given a record and no spec to trust, runs
+linear.py's oracles.
 
 All families need an odd prime power q > 3, a length n <= q + 1 and a
 dimension 1 < k <= floor(n/2) (larger k is covered by duality: the dual of an
@@ -21,13 +24,15 @@ subgroup degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from .errors import NoConstructionApplies, ParameterError, TheoremViolation
 from .fields import Field, json_int
-from .grs import GrsSpec, difference_products, dual_multipliers
+from .grs import GrsSpec, difference_products
+from .grs import dual_multipliers  # noqa: F401 (perfbench wraps construct.dual_multipliers)
 from .linear import DEFAULT_BUDGET, ROUTE_ENUMERATION, code_record, mds_route
 from .linear import _enumerate_min_weight, _rref
 from .poly import linear_complexity
@@ -140,10 +145,12 @@ def construct_divisor(F: Field, n: int, k: int, tail=None) -> ConstructionReport
 def construct_prime_power(F: Field, level: int, k: int, gamma=None) -> ConstructionReport:
     """Length n = p^level code on an additive subgroup H of the field.
 
-    Over H the dual multipliers are all equal to the inverse of h, the
-    product of the nonzero elements of H; that identity is re-checked here
-    and recorded in the report. The scaling element gamma only needs
-    gamma^2 != 1.
+    Over H every dual multiplier u_i = prod over j != i of (a_i - a_j)^(-1)
+    is h^(-1), with h the product of the nonzero elements of H: as j runs,
+    a_i - a_j runs over the nonzero elements of H (H is the root set of a
+    linearized polynomial; Lidl & Niederreiter, Finite Fields, sec. 3.4). The
+    report records h and u_constant = h^(-1), both O(n). The scaling element
+    gamma only needs gamma^2 != 1.
     """
     subgroup = F.additive_subgroup(level)
     n = len(subgroup)
@@ -151,46 +158,29 @@ def construct_prime_power(F: Field, level: int, k: int, gamma=None) -> Construct
     gamma = _square_free_unit(F, gamma, "gamma")
     v = (1,) * (n - k) + (gamma,) * k
     spec = GrsSpec(F, tuple(subgroup), v, k)
-
-    h = 1
-    for z in subgroup:
-        if z:
-            h = F.mul(h, z)
-    u = dual_multipliers(F, spec.locators)
-    h_inv = F.inv(h)
-    if any(ui != h_inv for ui in u):
-        raise TheoremViolation(
-            "dual multipliers over the additive subgroup are not the constant h^-1"
-        )
-    params = {"subgroup": list(subgroup), "h": h, "u_constant": h_inv, "gamma": gamma}
+    h = reduce(F._mul, filter(None, subgroup))
+    params = {"subgroup": list(subgroup), "h": h, "u_constant": F.inv(h), "gamma": gamma}
     return ConstructionReport(THEOREM_PRIME_POWER, spec, params)
 
 
 def construct_large_nk(F: Field, n: int, k: int, permutation=None) -> ConstructionReport:
     """Length n < q with n + k >= q + 1: locators are the first n labeled elements.
 
-    The first q - k multipliers are 1. Each remaining coordinate i gets the
-    first canonical nonzero c with -c^2 * prod(a_i - x over excluded x)
-    different from u_i, computed for those coordinates alone; squares take
-    (q - 1)/2 >= 2 distinct values, so the search cannot fail.
+    The first q - k multipliers are 1. Each remaining coordinate i needs a
+    nonzero c with -c^2 * prod(a_i - x over excluded x) != u_i. Locators and
+    excluded elements partition GF(q), and the nonzero elements of GF(q)
+    multiply to -1 (Wilson's theorem: compare the constant terms of
+    x^(q-1) - 1 = prod over c != 0 of (x - c)), so that product is -u_i and
+    the condition is c^2 != 1. Every such coordinate takes the first
+    canonical c outside {0, 1, -1}, as the divisor and prime-power families do.
     """
     q = F.q
     _require_family(THEOREM_LARGE_NK, F, n, k)
     labeling = _labeling(F, permutation)
-    locators = labeling[:n]
-    excluded = labeling[n:]
-    u = F.arrays.inv[difference_products(F, locators[q - k :], locators)].tolist()
-    v = [1] * n
-    chosen = []
-    prods = difference_products(F, locators[q - k :], excluded).tolist()
-    for i, prod, ui in zip(range(q - k, n), prods, u):
-        c = next((c for c in range(1, q) if F.neg(F.mul(F.mul(c, c), prod)) != ui), None)
-        if c is None:
-            raise TheoremViolation(f"no valid multiplier exists for coordinate {i + 1}")
-        v[i] = c
-        chosen.append([i + 1, c])
-    spec = GrsSpec(F, locators, tuple(v), k)
-    params = {"excluded": list(excluded), "chosen_multipliers": chosen}
+    locators, excluded = labeling[:n], labeling[n:]
+    c = _square_free_unit(F, None, "multiplier")
+    spec = GrsSpec(F, locators, (1,) * (q - k) + (c,) * (n + k - q), k)
+    params = {"excluded": list(excluded), "chosen_multipliers": [[i + 1, c] for i in range(q - k, n)]}
     return ConstructionReport(THEOREM_LARGE_NK, spec, params)
 
 

@@ -21,9 +21,9 @@ t < k (n k entries), and poly.inverse_differences of the locators (n(n-1)/2).
 construct.spec_verdict proves a code, with no generator(), from the power sums
 h_m = sum v_i^2 a_i^m: G G^T is their Hankel matrix, +1 at h_(2k-2) if extended.
 
-Every multiplier the constructions need, the u_i above among them, is a
-product of differences of locators; difference_products computes each one
-as a sum of logs on the field's tables, in batches of linear.BATCH_ENTRIES.
+The u_i above and the window family's multipliers are products of
+differences of locators; difference_products computes each one as a sum of
+logs on the field's tables, in batches of linear.BATCH_ENTRIES.
 
 A GrsSpec checks its locators, multipliers, k and extended flag when it is
 made (from_dict unpacks, and raises ParameterError on a malformed record),

@@ -187,19 +187,21 @@ def test_criterion_06_subgroup_dual_multiplier_identity(grid):
                 h = F.mul(h, z)
         u = dual_multipliers(F, tuple(subgroup))
         assert set(u) == {F.inv(h)}
-        return h
+        return h, u
 
     seen = 0
     for c in covered(cells):
         if c.report.theorem == THEOREM_PRIME_POWER:
             F = c.report.spec.field
-            h = check_subgroup(F, c.report.params["subgroup"])
+            h, u = check_subgroup(F, c.report.params["subgroup"])
+            # the builder records h^-1 without computing any u_i: each one agrees
             assert c.report.params["h"] == h
+            assert all(ui == c.report.params["u_constant"] for ui in u)
             seen += 1
     assert seen > 0
     # proper subgroups (level < e) do not occur in the grid; cover them here
     extra = 0
-    for p, e in [(3, 2), (5, 2), (3, 3), (3, 4)]:
+    for p, e in [(3, 2), (5, 2), (3, 3), (3, 4), (3, 5), (5, 3)]:
         F = field(p, e)
         for level in range(1, e + 1):
             check_subgroup(F, F.additive_subgroup(level))

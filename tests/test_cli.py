@@ -651,6 +651,37 @@ def test_outputs_match_pinned_hashes(capsys, tmp_path):
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# sha256 of construct --format text, one cell of each family, verified and
+# not, recorded from the build that printed through read_code_record
+PINNED_CONSTRUCT_TEXT = {
+    ("--theorem", "extended", "--q", "9", "--n", "10", "--k", "4"): "8296709ccedb4f85e518807948b7a4b54ea6d34f918058a010595de9709d34db",
+    ("--theorem", "extended", "--q", "9", "--n", "10", "--k", "4", "--skip-verify"): "78a9bd7d9bb5aab0d76b775959a9702c58e18d30ddc8ca80c3c8f1cffd56503f",
+    ("--theorem", "divisor", "--q", "13", "--n", "12", "--k", "5"): "7fa2a00197b5c8177b4378a74215ef9480ead7340e9dc83acbc3f9183edc6c4b",
+    ("--theorem", "divisor", "--q", "13", "--n", "12", "--k", "5", "--skip-verify"): "e62b9980c1aa8990f303b81a94be4fa61d445c049d916fd2f6687ac40cf2a069",
+    ("--theorem", "prime-power", "--q", "27", "--n", "9", "--k", "3"): "704ac2a55c942665054cd812dce60768e5d972253f9d3e021e554cef99cc721a",
+    ("--theorem", "prime-power", "--q", "27", "--n", "9", "--k", "3", "--skip-verify"): "eb8decbbcbb811ac84913b25359bb821a0a85d6aa6acfecbd1cc34f7caf36f6f",
+    ("--theorem", "large-nk", "--q", "11", "--n", "9", "--k", "3"): "6ae98dfba2f2c8322bc1fdbb2a938bad4df1b888c47f482f05a2f43194b71ce3",
+    ("--theorem", "large-nk", "--q", "11", "--n", "9", "--k", "3", "--skip-verify"): "93d2a47fc73e730a9f757a446e3838c97c1a91d6ebd75c8692dcb799991e3618",
+    ("--theorem", "window", "--q", "11", "--n", "6", "--k", "3"): "72f1754a4dacece156e141b0956d1a3d1a876b8bfd29b3bb9286dfac79865ae9",
+    ("--theorem", "window", "--q", "11", "--n", "6", "--k", "3", "--skip-verify"): "64029353827ee6e8c7168a73e7ab0a0c9ef165b98c7aadfb336e6bd1db055064",
+}
+
+
+def test_construct_text_prints_from_its_record(capsys, monkeypatch):
+    # the text report prints n, k and the rows from the record it wrote, with
+    # no second read_code_record (no second check and copy of G), byte for byte
+    reads = []
+    monkeypatch.setattr(lcdmds.cli, "read_code_record", lambda *a: reads.append(a))
+    for argv, digest in PINNED_CONSTRUCT_TEXT.items():
+        rc, text, _ = run(capsys, "construct", *argv, "--format", "text")
+        assert rc == 0 and hashlib.sha256(text.encode()).hexdigest() == digest, argv
+        record = json.loads(run(capsys, "construct", *argv)[1])
+        rows = [line.split() for line in text.split("generator:\n")[1].splitlines()]
+        assert f"code:    [{record['n']}, {record['k']}] over GF({argv[3]})" in text
+        assert rows == [[str(x) for x in row] for row in record["generator"]]
+    assert reads == []
+
+
 def test_sweep_table_rendering(capsys):
     rc, out, _ = run(capsys, "sweep", "--q", "5")
     assert rc == 0

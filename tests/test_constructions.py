@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import random
 import re
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -27,7 +29,7 @@ from lcdmds import (
     field_from_order,
     verify_report,
 )
-from lcdmds import construct
+from lcdmds import construct, grs
 from lcdmds.cli import build_parser, main
 from lcdmds.construct import (
     FAMILIES,
@@ -209,8 +211,8 @@ def test_large_nk_chosen_multipliers_recheck():
             assert r.spec.multipliers[i] == v
 
 
-def test_large_nk_computes_only_the_searched_dual_multipliers(monkeypatch):
-    # u_i for the k - (q - n) searched coordinates alone, not all n of them
+def test_large_nk_computes_no_dual_multipliers(monkeypatch):
+    # each chosen multiplier is the first square-free unit, with no u_i computed
     calls = []
     spy = lambda *args: calls.append(args) or dual_multipliers(*args)  # noqa: E731
     monkeypatch.setattr(construct, "dual_multipliers", spy)
@@ -220,6 +222,55 @@ def test_large_nk_computes_only_the_searched_dual_multipliers(monkeypatch):
     assert r.params == {"excluded": [12], "chosen_multipliers": [[9, 2], [10, 2], [11, 2], [12, 2]]}
     assert r.verified == {"hull_dimension": 0, "is_lcd": True, "is_mds": True,
                           "mds_route": "enumeration", "min_distance": 8}
+
+
+def test_large_nk_multipliers_follow_from_wilsons_theorem():
+    # on every large-n+k cell of odd q <= 49, each under its own seeded
+    # labeling: locators and excluded elements partition GF(q), whose nonzero
+    # elements multiply to -1, so prod(a_i - x over excluded x) = -u_i at every
+    # locator; the condition -c^2 prod != u_i is then c^2 != 1, and every
+    # chosen multiplier is the first canonical c with c^2 != 1
+    rng = random.Random(49)
+    cells = 0
+    for q in (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49):
+        F = field_from_order(q)
+        first = next(c for c in range(1, q) if F.mul(c, c) != 1)
+        for n, k in ((n, k) for n in range(4, q) for k in range(max(2, q + 1 - n), n // 2 + 1)):
+            perm = rng.sample(range(q), q)
+            r = construct_large_nk(F, n, k, permutation=perm)
+            a, excluded, u = r.spec.locators, perm[n:], dual_multipliers(F, r.spec.locators)
+            assert a == tuple(perm[:n]) and r.params["excluded"] == excluded
+            prods = [reduce(F.mul, (F.sub(ai, x) for x in excluded), 1) for ai in a]
+            assert prods == [F.neg(ui) for ui in u], (q, n, k)
+            assert r.params["chosen_multipliers"] == [[i + 1, first] for i in range(q - k, n)]
+            assert r.spec.multipliers == (1,) * (q - k) + (first,) * (n + k - q)
+            for i in range(q - k, n):
+                assert F.neg(F.mul(F.mul(first, first), prods[i])) != u[i]
+            cells += 1
+    assert cells == 1053
+
+
+def test_prime_power_and_large_nk_builders_compute_no_products(monkeypatch):
+    # both take their multipliers in closed form: neither calls
+    # difference_products or dual_multipliers, under the grs or construct name
+    calls = []
+    for module in (grs, construct):
+        for name in ("difference_products", "dual_multipliers"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    reports = [
+        construct_prime_power(field(3, 3), 2, 3),
+        construct_prime_power(field(5, 2), 2, 12, gamma=3),
+        construct_prime_power(field(3, 9), 9, 2),
+        construct_large_nk(field(13), 12, 5),
+        construct_large_nk(F7, 6, 3, permutation=[6, 5, 4, 3, 2, 1, 0]),
+        construct_large_nk(field(3, 5), 200, 90),
+    ]
+    assert calls == []
+    # the spies are live: the window builder and a spec's dual still call them
+    construct_window(F7, 4, 2)
+    reports[3].spec.dual()
+    assert calls == ["difference_products", "dual_multipliers", "difference_products"]
 
 
 def test_large_nk_rejections():
