@@ -7,8 +7,11 @@ code that is not, 2 usage or parameter errors (including malformed input),
 linear.DEFAULT_BUDGET, 10^6 enumerated codewords or column subsets, the same
 default the library uses; --budget or LCDMDS_BUDGET override it.
 
-All JSON output is canonical (sorted keys, fixed indentation, no timestamps)
-so identical inputs produce byte-identical bytes.
+All JSON output is canonical: exactly the bytes of
+json.dumps(obj, sort_keys=True, indent=2) plus a newline, with no timestamps,
+so identical inputs produce byte-identical bytes. _write writes them in
+pieces, one per element of the document's top two levels, so no string
+longer than one generator row (or sweep row) is held at once.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import os
 import signal
 import sys
+from json.encoder import encode_basestring_ascii
 from time import perf_counter
 
 from .construct import (
@@ -50,8 +54,65 @@ EXIT_VIOLATION = 4
 EXIT_BUDGET = 5
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+_CONSTANTS = {None: "null", True: "true", False: "false"}.__getitem__
+# the encoder of each exact scalar type the CLI writes
+_SCALARS = {int: int.__repr__, str: encode_basestring_ascii, bool: _CONSTANTS, type(None): _CONSTANTS}
+
+
+def _write(obj, out) -> None:
+    """Write the bytes of json.dumps(obj, sort_keys=True, indent=2) plus a
+    newline to out, without json's pure-Python encoder (which indent selects),
+    one piece per element of obj's top two container levels."""
+    out.writelines(_pieces(obj, "\n", 2))
+    out.write("\n")
+
+
+def _pieces(v, pad: str, split: int, lead: str = ""):
+    """lead, then v's canonical JSON with its lines indented by pad (a newline
+    and spaces), in pieces: one per element of v's top split container levels."""
+    t = type(v)
+    if t is dict and v and {*map(type, v)} == {str}:
+        opening, closing = "{}"
+        items = [(encode_basestring_ascii(key) + ": ", x) for key, x in sorted(v.items())]
+    elif (t is list or t is tuple) and v and {*map(type, v)} != {int}:
+        opening, closing = "[]"
+        items = [("", x) for x in v]
+    else:
+        yield lead + _encode(v, pad)
+        return
+    inner = pad + "  "
+    sep = lead + opening + inner
+    for head, x in items:
+        if split > 1 and type(x) in (dict, list, tuple):
+            yield from _pieces(x, inner, split - 1, sep + head)
+        else:
+            yield sep + head + _encode(x, inner)
+        sep = "," + inner
+    yield pad + closing
+
+
+def _encode(v, pad: str) -> str:
+    """The canonical JSON of v as one string, by v's exact type; json.dumps
+    only for what the CLI does not write (floats, non-str keys, subclasses)."""
+    t = type(v)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        return scalar(v)
+    inner = pad + "  "
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        if {*map(type, v)} == {int}:  # bools excluded
+            body = map(int.__repr__, v)
+        else:
+            body = [_encode(x, inner) for x in v]
+        return f"[{inner}{(',' + inner).join(body)}{pad}]"
+    if t is dict and {*map(type, v)} <= {str}:
+        if not v:
+            return "{}"
+        body = [encode_basestring_ascii(key) + ": " + _encode(x, inner) for key, x in sorted(v.items())]
+        return f"{{{inner}{(',' + inner).join(body)}{pad}}}"
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", pad)
 
 
 def _int_list(text: str) -> list[int]:
@@ -102,7 +163,7 @@ def cmd_construct(args) -> int:
         verify_report(report, budget)
     record = report.to_dict()
     if args.format == "json":
-        sys.stdout.write(_dumps(record))
+        _write(record, sys.stdout)
     else:
         print(f"theorem: {report.theorem}")
         print(f"field:   GF({F.q}) = GF({F.p}^{F.e}), modulus {list(F.modulus)}")
@@ -139,7 +200,7 @@ def cmd_verify(args) -> int:
     budget = _budget(args)
     code = _load_code(args.input, budget)
     verdict = {"n": code.n, "k": code.k, **code.verdict(budget)}
-    sys.stdout.write(_dumps(verdict))
+    _write(verdict, sys.stdout)
     return EXIT_OK if (verdict["is_lcd"] and verdict["is_mds"]) else EXIT_VERDICT_FAIL
 
 
@@ -216,7 +277,7 @@ def _sweep(F: Field, n_max: int, budget: int, out) -> int:
         "budget": budget,
         "rows": rows,
     }
-    out.write(_dumps(result))
+    _write(result, out)
 
     if any(row["status"] == "violation" for row in rows):
         return EXIT_VIOLATION
@@ -242,7 +303,7 @@ def cmd_info(args) -> int:
         raise ParameterError("info needs both --n and --k to list applicable conditions")
     if args.n is not None:
         info["applicable_conditions"] = applicable_conditions(F, args.n, args.k)
-    sys.stdout.write(_dumps(info))
+    _write(info, sys.stdout)
     return EXIT_OK
 
 

@@ -634,6 +634,8 @@ PINNED_CONSTRUCT_STDOUT = {
     ("--q", "13", "--n", "12", "--k", "6"): "da2ec68555c0d82125d28088a6d69b71485674a210b313ea20f996a3df85e1c6",
     ("--q", "13", "--n", "13", "--k", "4"): "f139093dc29ca7bb17578ed778974ef6fb2b67121d2a4f570ea3c6a1896740f2",
     ("--q", "13", "--n", "14", "--k", "5"): "fc79f505b1f9a33cd04b19d31454efeffd8a256958b1ca31829c431165bb5792",
+    # unverified: "verified": null
+    ("--q", "13", "--n", "14", "--k", "5", "--skip-verify"): "9bd4eabf189a92b857fef3a7443b3f49bfc27515a882b1c760192959d0d94bea",
     ("--q", "25", "--n", "12", "--k", "5"): "2e2576b11c2bdf6ef112ab78bfcdc44866c0f77f1206087234b9e3ac1c58d710",
     ("--q", "27", "--n", "9", "--k", "3"): "221c6d51acb43006e27c1b886a49d9e56f16aa8a1aaf3eff2a2a6d6ec31a8185",
     ("--q", "27", "--n", "14", "--k", "4"): "3ea7bba370a12dd4a8049ce64b053a2aa61ec0ed36e1058b2823a6f1f2eb67db",
@@ -649,6 +651,70 @@ def test_outputs_match_pinned_hashes(capsys, tmp_path):
     for argv, digest in PINNED_CONSTRUCT_STDOUT.items():
         rc, out, _ = run(capsys, "construct", *argv)
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# sha256 of verify and info stdout, recorded from the build that wrote
+# through json.dumps(sort_keys=True, indent=2): (record, exit code, digest)
+PINNED_VERIFY_STDOUT = {
+    "lcd_mds": ({"field": {"p": 5, "e": 1}, "generator": [[1, 1, 1, 2], [1, 2, 4, 1]]}, 0,
+                "a301f97bc1f277dfb0d582af33dfb1d941c55e8a852728dd853e27192b1d4da8"),
+    "not_lcd": ({"field": {"p": 5, "e": 1}, "generator": [[1, 2]]}, 1,
+                "2734a561ff3b4b72884228544bf2ba05c78c238856aeb7b784f795b33f82f02e"),
+    "not_mds": ({"field": {"p": 5, "e": 1}, "generator": [[1, 0, 1, 0], [0, 1, 0, 1]]}, 1,
+                "15bf0fe886c50ce2a4fd61ceaa95a2ffd187cddd2b9ae55a919adb164465b430"),
+}
+PINNED_INFO_STDOUT = {
+    ("--q", "9"): "77edf30685a1cae31701fada21b7e842a1fa5daa53a5b01206ed9a07238fa3a7",
+    ("--q", "13", "--n", "14", "--k", "5"): "77dd56a9926e4f823dc8a8f6062657d3ed3983de3bcdb0b3b2e02089655c647b",
+}
+
+
+def test_verify_and_info_match_pinned_hashes(capsys, tmp_path):
+    for name, (record, code, digest) in PINNED_VERIFY_STDOUT.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(record))
+        rc, out, _ = run(capsys, "verify", str(path))
+        assert rc == code and hashlib.sha256(out.encode()).hexdigest() == digest, name
+    for argv, digest in PINNED_INFO_STDOUT.items():
+        rc, out, _ = run(capsys, "info", *argv)
+        assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# the shapes the CLI writes, and the ones it does not: str keys with escapes,
+# control characters and non-ASCII; ints past 2^63; bools among ints; floats;
+# empty containers at every depth
+KEYS = st.text() | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é", " ", "𝔽", ""])
+WRITTEN_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63 - 2, 2**80) | st.integers(-(2**80), -1)
+    | st.floats() | KEYS | st.just([]) | st.just(()) | st.just({}),
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(KEYS, inner, max_size=5) | st.lists(st.integers() | st.booleans(), max_size=6),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(WRITTEN_VALUES)
+def test_write_is_the_bytes_of_json_dumps_with_indent_2(value):
+    out = io.StringIO()
+    lcdmds.cli._write(value, out)
+    assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_construct_writes_its_report_in_pieces():
+    # one piece per element of the report's top two levels: the longest is one
+    # generator row, not the whole document
+    pieces = []
+
+    class Recorder:
+        write = pieces.append
+        writelines = pieces.extend
+
+    with redirect_stdout(Recorder()):
+        assert main(["construct", "--q", "243", "--n", "244", "--k", "122", "--skip-verify"]) == 0
+    document = "".join(pieces)
+    assert document == json.dumps(json.loads(document), sort_keys=True, indent=2) + "\n"
+    assert max(map(len, pieces)) < len(document) / 10
 
 
 # sha256 of construct --format text, one cell of each family, verified and
