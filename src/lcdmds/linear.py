@@ -13,8 +13,13 @@ prefix tree. Each of the walk's
 pivot steps updates only the r - 1 rows it keeps, a chunk at a time sized
 by the child it makes, and when 2k > n it walks the n - k rows of a dual
 generator, as a code is MDS iff its dual is. The enumeration goes up
-the rows in one loop, weighing a span of the last rows, within 2^8
-BATCH_ENTRIES entries, against one target n-vector at a time.
+the rows in one loop, _weights, weighing a span of the last rows, within
+2^8 BATCH_ENTRIES entries, against one target n-vector at a time. It weighs
+the smaller side: C for its least weight, or, when C's codewords cost more
+than DUAL_SIDE_ENTRIES beyond its dual's (2k > n and q^(2k-n) times more
+codewords), the dual, whose weight distribution gives C's by the MacWilliams
+identities. Both sides are the one enumeration route, with the same budget
+in q^k and the same outputs.
 _matrix checks a list of rows element by element, or an int64 array by one
 range test; _generator_array adds every generator rule but the rank, so a
 code record's one reader, read_code_record (code_record is its one writer),
@@ -23,7 +28,7 @@ read-only array and k - rank(G Gt), the hull dimension (Massey 1992), from
 one k x k elimination of G Gt. As rank(G Gt) <= rank(G), a nonsingular G Gt
 proves the rows independent; only a singular one asks for the RREF of G,
 LinearCode._echelon, made at most once a code: the rank check, the
-certificate, the walk's dual side and dual() all read it.
+certificate, both dual sides and dual() all read it.
 Each pivot is one fused FieldArrays.submul, A - column x row.
 """
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from math import comb, log10
+from operator import mul
 
 import numpy as np
 
@@ -50,6 +56,16 @@ ROUTE_COLUMN_SUBSETS = "column_subsets"
 # it holds, stay within 2^8 of them.
 BATCH_ENTRIES = 1 << 13
 
+# The enumeration weighs C-dual instead of C when C's (q^k - 1)/(q - 1)
+# codewords would cost more than this many digit entries (e n a codeword)
+# beyond the dual's (q^(n-k) - 1)/(q - 1): the dual side's fixed cost, one
+# RREF of G, the dual rows and the MacWilliams transform, in the kernel's
+# unit. Timed in-process on 109 codes with 2k > n and a gap of 6 x 10^4 to
+# 1.4 x 10^6 entries (q from 2 to 17, n <= 16), the dual side was faster on
+# 16 of the 61 at or below 2^18 and on 42 of the 48 above, on all past
+# 573,440.
+DUAL_SIDE_ENTRIES = 1 << 18
+
 
 def _amount(value: int, text: str) -> str:
     """value in full up to 12 digits, else text with its order of magnitude."""
@@ -66,7 +82,8 @@ def mds_route(q: int, n: int, k: int, budget: int = DEFAULT_BUDGET) -> str:
     """The MDS route an [n, k] code over GF(q) takes within the budget.
 
     Enumeration when q^k fits (the budget counts q^k although only one
-    codeword per projective point is weighed), else column subsets when
+    codeword per projective point is weighed, and although a code with
+    2k > n may weigh its dual's q^(n-k) instead), else column subsets when
     C(n, k) fits; raises BudgetExceeded when neither does, before any work.
     The only place MDS work meets the budget. ParameterError for a budget
     that is not an integer >= 0, or for a shape no code has: q, n and k must
@@ -192,15 +209,16 @@ def _minus_span(arrays, q: int, t, rows):
         yield t
 
 
-def _enumerate_min_weight(F: Field, G) -> int:
-    """Minimum weight of the code of a checked, full-rank (k, n) array G,
-    over one nonzero codeword per projective point.
+def _weights(F: Field, G):
+    """The weights of one nonzero codeword per projective point of the code
+    of a checked, full-rank (k, n) array G, as one array for each target;
+    none when k = 0.
 
     c*x weighs as much as x for every nonzero c, so only messages whose
     first nonzero entry is 1 are weighed: (q^k - 1)/(q - 1) codewords.
     A span of codewords holds the last rows r + 1..k - 1, the most whose
-    e n q^(k-1-r) digit entries stay within 2^8 BATCH_ENTRIES ([10, 6]
-    over GF(9) ends at 1,180,980), and only their multiples are built.
+    e n q^(k-1-r) digit entries stay within 2^8 BATCH_ENTRIES ([10, 4]
+    over GF(9) ends at 14,580), and only their multiples are built.
     Going up from the last row, row i leads the codewords G[i] + h + s,
     s in the span held so far and h in the span of rows i + 1..r (h = 0
     for i >= r). Each h is weighed by one comparison of the span with the
@@ -216,23 +234,60 @@ def _enumerate_min_weight(F: Field, G) -> int:
     digits = arrays.digits.T
     dtype, count = digits.dtype.type, np.min_scalar_type(n)
     r = k - 1
-    while r and e * n * q ** (k - r) <= 2**8 * BATCH_ENTRIES:
+    while r > 0 and e * n * q ** (k - r) <= 2**8 * BATCH_ENTRIES:
         r -= 1
     # multiples[:, i - r - 1, :, c] is the (e, n) digit array of c * G[i]
     multiples = np.take(digits, arrays.mul(G[r + 1 :, :, None], np.arange(q)), axis=1)
 
-    span, best = np.zeros((e, n, 1), dtype=dtype), n
+    span = np.zeros((e, n, 1), dtype=dtype)
     for i in range(k - 1, -1, -1):
         # h = 0 alone while i >= r
         lead = arrays.neg[G[i]]
         for t in (lead,) if i >= r else _minus_span(arrays, q, lead, G[i + 1 : r + 1]):
-            weights = reduce(np.logical_or, span != digits[:, t, None]).sum(axis=0, dtype=count)
-            best = min(best, int(weights.min()))
+            yield reduce(np.logical_or, span != digits[:, t, None]).sum(axis=0, dtype=count)
         if i > r:
             grown = np.add(span[:, :, None, :], multiples[:, i - r - 1, :, :, None], order="C")
             span = grown.reshape(e, n, -1)
             np.minimum(span, span - dtype(p), out=span)
-    return best
+
+
+def _enumerate_min_weight(F: Field, G) -> int:
+    """Minimum weight of the code of a checked, full-rank (k, n) array G,
+    k >= 1, the least of _weights: (q^k - 1)/(q - 1) codewords weighed."""
+    return min(int(w.min()) for w in _weights(F, G))
+
+
+def _krawtchouk(q: int, n: int, ws):
+    """K_1(w), K_2(w), .., K_n(w), each as a list over the w of ws: the
+    Krawtchouk polynomials for length n over GF(q), in exact ints, by the
+    recurrence (i + 1) K_(i+1)(w) = ((n - i)(q - 1) + i - q w) K_i(w)
+    - (q - 1)(n - i + 1) K_(i-1)(w) from K_0 = 1 and K_1(w) = n(q - 1) - q w."""
+    before, now = [1] * len(ws), [n * (q - 1) - q * w for w in ws]
+    for i in range(1, n + 1):
+        yield now
+        before, now = now, [(((n - i) * (q - 1) + i - q * w) * a - (q - 1) * (n - i + 1) * b) // (i + 1)
+                            for w, a, b in zip(ws, now, before)]
+
+
+def _distance_from_dual(F: Field, H) -> int:
+    """Minimum distance of the code whose dual the checked, full-rank
+    (n - k, n) array H generates, from the dual's weight distribution.
+
+    _weights gives B, the number B_w of dual codewords of weight w: B_0 = 1
+    and q - 1 for each projective point. The MacWilliams identities
+    (MacWilliams 1963; MacWilliams and Sloane 1977, ch. 5) give the code's
+    own A_i = q^-(n - k) sum_w B_w K_i(w), so d is the least i >= 1 whose
+    sum is not 0. H with no rows (k = n) leaves B_0 alone, and d = 1.
+    """
+    q, n = F.q, H.shape[1]
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for w in _weights(F, H):
+        counts += np.bincount(w, minlength=n + 1)
+    counts *= q - 1
+    counts[0] = 1
+    ws = counts.nonzero()[0].tolist()
+    B = counts[ws].tolist()
+    return next(i for i, K in enumerate(_krawtchouk(q, n, ws), 1) if sum(map(mul, B, K)))
 
 
 class LinearCode:
@@ -410,14 +465,22 @@ class LinearCode:
 
         mds_route picks the route, ROUTE_ENUMERATION or ROUTE_COLUMN_SUBSETS,
         or raises BudgetExceeded (and ParameterError for k = 0) before any
-        work. min_distance is None when the column-subset route decided: it
-        proves every k-subset of columns nonsingular, or finds one that is
-        not, by _grs_certificate and, for a code it declines, by walking
-        the subsets.
+        work. The enumeration weighs the smaller side for min_distance: C
+        itself, or the n - k rows of _dual_rows by _distance_from_dual when
+        C's codewords cost more than DUAL_SIDE_ENTRIES digit entries beyond
+        the dual's, which only a code with 2k > n can; the route name and
+        the value are the same either way. min_distance is None when the
+        column-subset route decided: it proves every k-subset of columns
+        nonsingular, or finds one that is not, by _grs_certificate and, for
+        a code it declines, by walking the subsets.
         """
-        if mds_route(self.field.q, self.n, self.k, budget) == ROUTE_ENUMERATION:
-            d = _enumerate_min_weight(self.field, self.array)
-            return d == self.n - self.k + 1, ROUTE_ENUMERATION, d
+        F, n, k = self.field, self.n, self.k
+        if mds_route(F.q, n, k, budget) == ROUTE_ENUMERATION:
+            if F.e * n * (F.q**k - F.q ** (n - k)) // (F.q - 1) > DUAL_SIDE_ENTRIES:
+                d = _distance_from_dual(F, self._dual_rows())
+            else:
+                d = _enumerate_min_weight(F, self.array)
+            return d == n - k + 1, ROUTE_ENUMERATION, d
         mds = self._grs_certificate()
         if mds is None:
             mds = self._mds_by_column_subsets()

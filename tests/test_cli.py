@@ -662,6 +662,25 @@ PINNED_VERIFY_STDOUT = {
                 "2734a561ff3b4b72884228544bf2ba05c78c238856aeb7b784f795b33f82f02e"),
     "not_mds": ({"field": {"p": 5, "e": 1}, "generator": [[1, 0, 1, 0], [0, 1, 0, 1]]}, 1,
                 "15bf0fe886c50ce2a4fd61ceaa95a2ffd187cddd2b9ae55a919adb164465b430"),
+    # high-rate codes over GF(9) whose enumeration weighs the dual: three LCD
+    # MDS duals of constructed codes, in a random basis with permuted
+    # columns, and GRS [9, 6] with column 2 repeated as column 9 (not MDS)
+    "gf9_8_6": ({"field": {"p": 3, "e": 2, "modulus": [1, 0, 1]}, "generator": [
+        [1, 7, 0, 7, 4, 6, 5, 8], [5, 4, 8, 2, 3, 3, 5, 3], [2, 4, 2, 8, 6, 7, 0, 4],
+        [5, 6, 7, 8, 5, 8, 3, 1], [5, 3, 8, 4, 3, 6, 7, 0], [6, 0, 3, 2, 6, 4, 7, 5]]}, 0,
+        "8a6cc7dd5e64f1613b2bf11b8a97210770f0c93ad9473f6ccdaa71d71cf5fb1f"),
+    "gf9_9_6": ({"field": {"p": 3, "e": 2, "modulus": [1, 0, 1]}, "generator": [
+        [3, 0, 3, 8, 3, 7, 6, 2, 2], [8, 6, 3, 3, 5, 5, 5, 4, 6], [8, 0, 7, 5, 6, 2, 6, 5, 6],
+        [3, 0, 4, 3, 4, 5, 4, 8, 4], [3, 8, 8, 2, 0, 6, 6, 1, 4], [8, 2, 2, 8, 8, 1, 8, 2, 2]]}, 0,
+        "007d598652c404a654709049142c28642450d7554c672905d427bcd17dd95a16"),
+    "gf9_10_6": ({"field": {"p": 3, "e": 2, "modulus": [1, 0, 1]}, "generator": [
+        [0, 3, 4, 8, 3, 2, 4, 3, 4, 1], [7, 6, 1, 4, 2, 8, 4, 2, 3, 6], [2, 6, 4, 3, 0, 1, 8, 1, 2, 8],
+        [4, 7, 5, 3, 4, 4, 4, 0, 4, 4], [8, 5, 7, 5, 7, 1, 7, 2, 3, 3], [5, 0, 5, 8, 2, 8, 8, 3, 2, 2]]}, 0,
+        "07453426c8cd4bc8344f4ca09b6a1198094ee042458a87064e0ab647372363f7"),
+    "gf9_10_6_equal_columns": ({"field": {"p": 3, "e": 2}, "generator": [
+        [7, 5, 6, 2, 3, 2, 5, 6, 1, 6], [1, 3, 7, 0, 3, 5, 4, 3, 3, 7], [8, 8, 2, 0, 3, 6, 7, 6, 2, 2],
+        [6, 2, 8, 0, 3, 8, 8, 3, 6, 8], [5, 7, 3, 0, 3, 1, 5, 6, 1, 3], [2, 6, 5, 0, 3, 7, 4, 3, 3, 5]]}, 1,
+        "0b48e774c42d906c959b787016aadc9d696d4d4394be7e22ab314f298ba69da9"),
 }
 PINNED_INFO_STDOUT = {
     ("--q", "9"): "77edf30685a1cae31701fada21b7e842a1fa5daa53a5b01206ed9a07238fa3a7",
@@ -678,6 +697,22 @@ def test_verify_and_info_match_pinned_hashes(capsys, tmp_path):
     for argv, digest in PINNED_INFO_STDOUT.items():
         rc, out, _ = run(capsys, "info", *argv)
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_verify_weighs_the_dual_of_a_high_rate_record(capsys, tmp_path, monkeypatch):
+    # the enumeration kernel gets the n - k rows of the dual, once a record
+    weighed = []
+    real = lcdmds.linear._weights
+    monkeypatch.setattr(lcdmds.linear, "_weights", lambda F, G: weighed.append(G.shape) or real(F, G))
+    for name in ("gf9_8_6", "gf9_9_6", "gf9_10_6", "gf9_10_6_equal_columns"):
+        record, code, _ = PINNED_VERIFY_STDOUT[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(record))
+        weighed.clear()
+        rc, out, _ = run(capsys, "verify", str(path))
+        n = len(record["generator"][0])
+        assert rc == code and json.loads(out)["mds_route"] == "enumeration"
+        assert weighed == [(n - 6, n)], name
 
 
 # the shapes the CLI writes, and the ones it does not: str keys with escapes,

@@ -665,6 +665,125 @@ def test_enumeration_keeps_its_arrays_within_the_bound():
         assert linear._enumerate_min_weight(code.field, code.array) == d
 
 
+def _macwilliams(q, n, B, dual_k):
+    """A, the weight distribution of a code, from B, its [n, n - dual_k]
+    dual's, by linear._krawtchouk: A_0 = 1 and A_i = q^-dual_k sum B_w K_i(w)."""
+    ws = [w for w, b in enumerate(B) if b]
+    sums = [sum(B[w] * K for w, K in zip(ws, Ks)) for Ks in linear._krawtchouk(q, n, ws)]
+    assert all(s % q**dual_k == 0 for s in sums)
+    return (1, *(s // q**dual_k for s in sums))
+
+
+def test_macwilliams_transform_of_known_distributions():
+    # the binary Hamming [7, 4] code from its dual, the simplex [7, 3] code,
+    # and back; the recurrence against the defining sum of K_i(w)
+    simplex, hamming = (1, 0, 0, 0, 7, 0, 0, 0), (1, 0, 0, 7, 7, 0, 0, 1)
+    assert _macwilliams(2, 7, simplex, 3) == hamming
+    assert _macwilliams(2, 7, hamming, 4) == simplex
+    for q, n in ((2, 7), (3, 6), (9, 10), (27, 5), (65521, 3)):
+        defined = [[sum((-1) ** j * (q - 1) ** (i - j) * comb(w, j) * comb(n - w, i - j) for j in range(i + 1))
+                    for w in range(n + 1)] for i in range(1, n + 1)]
+        assert list(linear._krawtchouk(q, n, list(range(n + 1)))) == defined
+
+
+def dual_side_check(code):
+    """mds_check's enumeration with the dual side forced: (is_mds, route, d),
+    after checking that it took the dual side, and on n - k rows."""
+    with mock.patch.object(linear, "DUAL_SIDE_ENTRIES", -1), \
+            mock.patch.object(linear, "_distance_from_dual", wraps=linear._distance_from_dual) as spy:
+        verdict = code.mds_check(code.field.q**code.k)
+    ((F, H), _), = spy.call_args_list
+    assert H.shape == (code.n - code.k, code.n)
+    return verdict
+
+
+# the binary Hamming [7, 4] code: it holds its dual, the simplex [7, 3] code
+HAMMING_7_4 = [[1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]]
+
+
+def test_dual_side_cases():
+    rng = random.Random(34)
+    F7, F9 = field(7), field(3, 2)
+    grs = [list(row) for row in GrsSpec(F9, tuple(range(8)), (1,) * 8, 6).generator().gen]
+    cases = {
+        # k = n: the dual has no rows, and d = 1
+        "k = n": (random_full_rank_code(F7, 5, 5, rng), 1),
+        "k = n - 1": (LinearCode(F7, [[int(i == j) for j in range(5)] + [i + 1] for i in range(5)]), 2),
+        "zero column": (LinearCode(F7, [[int(i == j) for j in range(4)] + [0, 1, i + 2] for i in range(4)]), 3),
+        # GRS [8, 6] over GF(9) is MDS; column 7 copied over column 2 is not
+        "grs": (LinearCode(F9, grs), 3),
+        "equal columns": (LinearCode(F9, [row[:2] + row[7:] + row[3:] for row in grs]), 2),
+        "nonzero hull": (LinearCode(field(2), HAMMING_7_4), 3),
+    }
+    for name, (code, d) in cases.items():
+        assert dual_side_check(code) == (d == code.n - code.k + 1, "enumeration", d), name
+        assert d == linear._enumerate_min_weight(code.field, code.array), name
+        assert code.field.q**code.k > 20_000 or d == brute_min_distance(code), name
+    assert cases["nonzero hull"][0].hull_dimension() == 3
+
+
+DUAL_SIDE_FIELDS = [field(2), field(3), field(2, 2), field(5), field(7), field(2, 3), field(3, 2), field(3, 3)]
+
+
+@st.composite
+def high_rate_codes(draw):
+    """Codes with 2k > n, q^k <= 10^5 and k = n or n - 1 in many: GRS codes
+    where n <= q, else [I | A] with its columns permuted; in some, a zero
+    column or a column copied over another."""
+    F = draw(st.sampled_from(DUAL_SIDE_FIELDS))
+    max_k = max(m for m in range(1, 13) if F.q**m <= 10**5)
+    n = draw(st.integers(1, min(12, 2 * max_k - 1)))
+    k = draw(st.sampled_from(range(n // 2 + 1, min(n, max_k) + 1)))
+    if n <= F.q and draw(st.booleans()):
+        locs = draw(st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n, unique=True))
+        mults = draw(st.lists(st.integers(1, F.q - 1), min_size=n, max_size=n))
+        gen = [list(row) for row in GrsSpec(F, tuple(locs), tuple(mults), k).generator().gen]
+    else:
+        tail = st.lists(st.integers(0, F.q - 1), min_size=n - k, max_size=n - k)
+        perm = draw(st.permutations(range(n)))
+        rows = [[int(i == j) for j in range(k)] + draw(tail) for i in range(k)]
+        gen = [[row[j] for j in perm] for row in rows]
+    change = draw(st.sampled_from(["none", "zero column", "copy"] if n > 1 else ["none"]))
+    if change != "none":
+        src, dst = draw(st.permutations(range(n)))[:2]
+        for row in gen:
+            row[dst] = 0 if change == "zero column" else row[src]
+    try:
+        return LinearCode(F, gen)
+    except ParameterError:
+        assume(False)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(high_rate_codes())
+def test_dual_side_matches_references(code):
+    # d from the dual's weight distribution, against brute force where q^k
+    # <= 2,500 and the direct enumeration of C elsewhere
+    mds, route, d = dual_side_check(code)
+    if code.field.q**code.k <= 2500:
+        assert d == brute_min_distance(code)
+    else:
+        assert d == linear._enumerate_min_weight(code.field, code.array)
+    assert (mds, route) == (d == code.n - code.k + 1, "enumeration")
+
+
+def test_high_rate_codes_weigh_the_smaller_side(monkeypatch):
+    # past DUAL_SIDE_ENTRIES the dual side runs, on n - k rows; below it,
+    # and at 2k <= n, the code itself is weighed
+    sides = []
+    monkeypatch.setattr(linear, "_distance_from_dual", lambda F, H, real=linear._distance_from_dual: (
+        sides.append(("dual", H.shape)) or real(F, H)))
+    monkeypatch.setattr(linear, "_enumerate_min_weight", lambda F, G, real=linear._enumerate_min_weight: (
+        sides.append(("direct", G.shape)) or real(F, G)))
+    F9, F7 = field(3, 2), field(7)
+    for F, n, k, side in ((F9, 10, 6, "dual"), (F9, 9, 6, "dual"), (F9, 6, 6, "dual"),
+                          (F7, 8, 6, "direct"), (F9, 7, 4, "direct"), (F9, 10, 5, "direct")):
+        code = GrsSpec(F, tuple(range(min(n, F.q))), (1,) * min(n, F.q), k, n > F.q).generator()
+        sides.clear()
+        assert code.mds_check() == (True, "enumeration", n - k + 1)
+        assert sides == [(side, ((n - k) if side == "dual" else k, n))], (F, n, k)
+
+
 def test_is_mds_examples():
     grs = GrsSpec(F5, (0, 1, 2, 3), (1, 1, 1, 1), 2).generator()
     assert grs.mds_check() == (True, "enumeration", 3)
