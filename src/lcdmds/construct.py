@@ -6,9 +6,9 @@ subgroup, chosen multipliers), so a report can be re-checked from its
 parameters alone. The prime-power and large-n+k builders take their
 multipliers from closed forms of the dual multipliers u_i, stated in their
 docstrings, and compute no u_i. verify_report then proves the code from its
-spec, with no LinearCode (spec_verdict), and refuses to return one that is
-not LCD and MDS; lcdmds verify, given a record and no spec to trust, runs
-linear.py's oracles.
+spec in O(kn), with no LinearCode and no codeword weighed (spec_verdict), and
+refuses to return one that is not LCD; lcdmds verify, given a record and no
+spec to trust, runs linear.py's oracles, enumeration included.
 
 All families need an odd prime power q > 3, a length n <= q + 1 and a
 dimension 1 < k <= floor(n/2) (larger k is covered by duality: the dual of an
@@ -33,8 +33,7 @@ from .errors import NoConstructionApplies, ParameterError, TheoremViolation
 from .fields import Field, json_int
 from .grs import GrsSpec, difference_products
 from .grs import dual_multipliers  # noqa: F401 (perfbench wraps construct.dual_multipliers)
-from .linear import DEFAULT_BUDGET, ROUTE_ENUMERATION, code_record, mds_route
-from .linear import _enumerate_min_weight, _rref
+from .linear import DEFAULT_BUDGET, ROUTE_ENUMERATION, _rref, code_record, mds_route
 from .poly import linear_complexity
 
 THEOREM_EXTENDED = "ExtendedQPlus1"
@@ -340,31 +339,31 @@ def power_sums(spec: GrsSpec) -> list[int]:
 
 def spec_verdict(spec: GrsSpec, budget: int = DEFAULT_BUDGET) -> dict:
     """LinearCode(spec.field, spec._rows).verdict(budget), proven from the spec
-    once mds_route meets the budget: the hull is k - rank of (h_(s+t)), which
-    is nonsingular when power_sums have linear complexity k, else its RREF
-    gives the rank (Massey 1992). A GRS code is MDS: only the enumeration
-    route weighs codewords, for min_distance."""
+    once mds_route meets the budget and names the route: the hull is k - rank
+    of (h_(s+t)), nonsingular when power_sums have linear complexity k, else
+    its RREF gives the rank (Massey 1992). Rows power_sums has checked are a
+    GRS code's, which is MDS (MacWilliams and Sloane 1977, ch. 11): d = n - k + 1
+    on either route, given on the enumeration one, with no codeword weighed."""
     F, n, k = spec.field, spec.length, spec.k
     route = mds_route(F.q, n, k, budget)
     h = power_sums(spec)
     L = linear_complexity(F, h)
     hull = 0 if L == k else k - len(_rref(F, np.array([h[r : r + k] for r in range(k)]))[1])
-    d = _enumerate_min_weight(F, spec._rows) if route == ROUTE_ENUMERATION else None
-    return {"hull_dimension": hull, "is_lcd": hull == 0, "is_mds": d in (None, n - k + 1),
-            "mds_route": route, "min_distance": d}
+    return {"hull_dimension": hull, "is_lcd": hull == 0, "is_mds": True, "mds_route": route,
+            "min_distance": n - k + 1 if route == ROUTE_ENUMERATION else None}
 
 
 def verify_report(report: ConstructionReport, budget: int = DEFAULT_BUDGET) -> ConstructionReport:
     """Prove the report's code LCD and MDS from its spec (spec_verdict).
 
     Fills report.verified and returns the report; raises TheoremViolation if
-    the constructed code is not LCD or not MDS, or its rows are not its
-    spec's (each would be a bug, never an acceptable outcome).
-    BudgetExceeded is raised before any work when neither MDS route fits.
+    the constructed code is not LCD, or its rows are not its spec's V diag(v),
+    whose check proves it MDS (either would be a bug, never an acceptable
+    outcome). BudgetExceeded is raised before any work when neither route fits.
     """
     spec = report.spec
     v = report.verified = spec_verdict(spec, budget)
-    if not (v["is_lcd"] and v["is_mds"]):
+    if v["hull_dimension"]:
         raise TheoremViolation(
             f"{report.theorem} produced a code with hull dimension {v['hull_dimension']}, "
             f"MDS = {v['is_mds']} over {spec.field!r} "

@@ -4,7 +4,7 @@ This module holds the generic oracles that verify runs and tests check
 against: RREF and rank, duals via null spaces, hull dimensions, and one MDS
 check, LinearCode.mds_check, whose two named routes mds_route picks from
 (q, n, k) and the budget: enumeration of one codeword per projective point,
-which also gives the minimum distance (construct.spec_verdict calls it too),
+which also gives the minimum distance (construct.spec_verdict weighs none),
 and column subsets, every k-column submatrix nonsingular. That route first
 asks _grs_certificate, one RREF [I | A] of G and O(k(n - k)) checks that A
 is a generalized Cauchy matrix, which decides every GRS and extended GRS

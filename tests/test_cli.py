@@ -494,24 +494,36 @@ def test_verify_meets_the_budget_before_any_elimination(capsys, tmp_path, elimin
 def test_construct_and_sweep_prove_codes_from_their_specs(capsys, tmp_path, monkeypatch, eliminations):
     # verify_report proves a report from its spec: it makes no LinearCode, no
     # G Gt (_product) and no RREF of G, and as these codes are LCD their
-    # Hankel matrices have linear complexity k, so no k x k RREF either
-    inits = []
-    init = lcdmds.linear.LinearCode.__init__
+    # Hankel matrices have linear complexity k, so no k x k RREF either; nor
+    # does it weigh a codeword (_enumerate_min_weight) on either route
+    inits, weighed = [], []
+    init, weigh = lcdmds.linear.LinearCode.__init__, lcdmds.linear._enumerate_min_weight
     monkeypatch.setattr(lcdmds.linear.LinearCode, "__init__",
                         lambda self, *args, **kw: inits.append(args) or init(self, *args, **kw))
+    monkeypatch.setattr(lcdmds.linear, "_enumerate_min_weight",
+                        lambda *args: weighed.append(args) or weigh(*args))
     rc, out, _ = run(capsys, "construct", "--q", "27", "--n", "28", "--k", "5")
     assert rc == 0 and json.loads(out)["verified"] == {
         "hull_dimension": 0, "is_lcd": True, "is_mds": True,
         "mds_route": "column_subsets", "min_distance": None,
     }
+    rc, out, _ = run(capsys, "construct", "--q", "97", "--n", "98", "--k", "3")
+    assert rc == 0 and json.loads(out)["verified"] == {
+        "hull_dimension": 0, "is_lcd": True, "is_mds": True,
+        "mds_route": "enumeration", "min_distance": 96,
+    }
     path = tmp_path / "sweep.json"
     assert run(capsys, "sweep", "--q", "9", "--output", str(path))[0] == 0
-    assert (inits, eliminations) == ([], [])
-    # the enumeration route still weighs the codewords, for min_distance
+    assert (inits, eliminations, weighed) == ([], [], [])
+    # the enumeration route names the budget route, and its min_distance is
+    # n - k + 1 from the checked form, not from weighed codewords
     rows = [r for r in json.loads(path.read_text())["rows"] if r["status"] == "ok"]
     enumerated = [r for r in rows if r["mds_route"] == "enumeration"]
     assert len(enumerated) == len(rows) == 13
     assert all(r["min_distance"] == r["n"] - r["k"] + 1 for r in enumerated)
+    # the spy sees the oracle's calls: verify on a record still weighs codewords
+    path.write_text(out)
+    assert run(capsys, "verify", str(path))[0] == 0 and len(weighed) == 1
 
 
 def test_budget_env_var(capsys, tmp_path, monkeypatch):
@@ -621,11 +633,15 @@ def test_sweep_unwritable_output_exits_2(capsys, tmp_path):
 # bytes are a fixed constraint: a change to any of them must be deliberate,
 # with the hashes recorded again.
 PINNED_SWEEP_JSON = {
-    "5": "deff9c58d09963cf242a0333b7f13de41585f4d46436ae40efbe38ccac21a538",
-    "7": "c48e065d692e9ffa06f7cd79e90d0ef47705d55d258a6d741822a3a498cd649d",
-    "9": "aeac4523b4df4c55bf19110d2a15879556df27bc0c233aa2d297fb258d882eab",
+    ("--q", "5"): "deff9c58d09963cf242a0333b7f13de41585f4d46436ae40efbe38ccac21a538",
+    ("--q", "7"): "c48e065d692e9ffa06f7cd79e90d0ef47705d55d258a6d741822a3a498cd649d",
+    ("--q", "9"): "aeac4523b4df4c55bf19110d2a15879556df27bc0c233aa2d297fb258d882eab",
     # the first pinned sweep with column_subsets rows (4 of them)
-    "13": "1cc28893883170c70eb1e13c3877d2474ec9b887ad98923699ad5da7dbda562e",
+    ("--q", "13"): "1cc28893883170c70eb1e13c3877d2474ec9b887ad98923699ad5da7dbda562e",
+    # the benchmark's extension-field grids, recorded from the build that
+    # weighed every enumeration cell's codewords for its min_distance
+    ("--q", "25", "--n-max", "13"): "d1dd5131a81728a2dad03d2d5ffc5b7e87a77d68349b88b383dc189045dbc4d3",
+    ("--q", "27", "--n-max", "13"): "43719eb38b1fc0d1e26c410d2b4deec53ef39db3e76a5c847882ecddc26d28fb",
 }
 PINNED_CONSTRUCT_STDOUT = {
     ("--q", "9", "--n", "10", "--k", "4"): "7f632656d40f02ffb00221193d7e25c58723f2d3e03f42df95ec03e1faaf6d60",
@@ -645,9 +661,9 @@ PINNED_CONSTRUCT_STDOUT = {
 
 def test_outputs_match_pinned_hashes(capsys, tmp_path):
     path = tmp_path / "sweep.json"
-    for q, digest in PINNED_SWEEP_JSON.items():
-        assert run(capsys, "sweep", "--q", q, "--output", str(path))[0] == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, q
+    for argv, digest in PINNED_SWEEP_JSON.items():
+        assert run(capsys, "sweep", *argv, "--output", str(path))[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, argv
     for argv, digest in PINNED_CONSTRUCT_STDOUT.items():
         rc, out, _ = run(capsys, "construct", *argv)
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
