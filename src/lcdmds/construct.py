@@ -6,9 +6,9 @@ subgroup, chosen multipliers), so a report can be re-checked from its
 parameters alone. The prime-power and large-n+k builders take their
 multipliers from closed forms of the dual multipliers u_i, stated in their
 docstrings, and compute no u_i. verify_report then proves the code from its
-spec in O(kn), with no LinearCode and no codeword weighed (spec_verdict), and
-refuses to return one that is not LCD; lcdmds verify, given a record and no
-spec to trust, runs linear.py's oracles, enumeration included.
+spec in O(kn), with no LinearCode and no codeword weighed (GrsSpec.verdict),
+and refuses to return one that is not LCD; lcdmds verify, given a record and
+no spec to trust, runs linear.py's oracles, enumeration included.
 
 All families need an odd prime power q > 3, a length n <= q + 1 and a
 dimension 1 < k <= floor(n/2) (larger k is covered by duality: the dual of an
@@ -27,14 +27,11 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
 
-import numpy as np
-
 from .errors import NoConstructionApplies, ParameterError, TheoremViolation
 from .fields import Field, json_int
 from .grs import GrsSpec, difference_products
 from .grs import dual_multipliers  # noqa: F401 (perfbench wraps construct.dual_multipliers)
-from .linear import DEFAULT_BUDGET, ROUTE_ENUMERATION, _rref, code_record, mds_route
-from .poly import linear_complexity
+from .linear import DEFAULT_BUDGET, code_record
 
 THEOREM_EXTENDED = "ExtendedQPlus1"
 THEOREM_DIVISOR = "DivisorOfQMinus1"
@@ -322,39 +319,8 @@ def construct_auto(
     return family.build(F, n, k, **overrides)
 
 
-def power_sums(spec: GrsSpec) -> list[int]:
-    """h_0..h_(2k-2), with G G^T = (h_(s+t)) for G = spec._rows, once an O(kn)
-    check shows G is V diag(v) on distinct locators and nonzero multipliers,
-    with e_(k-1) as an extended spec's last column; else TheoremViolation (a
-    builder bug). Row products G[0] G[m] and G[k-1] G[m] give every index."""
-    F, n, k, G = spec.field, spec.n, spec.k, spec._rows
-    arrays, a, v = F.arrays, np.array(spec.locators), np.array(spec.multipliers)
-    V, extra = G[:, :n], [[0] * (k - 1) + [1]] if spec.extended else []
-    if not (G.shape == (k, spec.length) and (V[0] == v).all() and G[:, n:].T.tolist() == extra
-            and (V[1:] == arrays.mul(V[:-1], a)).all() and np.unique(a).size == n and v.all()):
-        raise TheoremViolation(f"rows of a [{spec.length}, {k}] spec are not its V diag(v): a bug")
-    terms = arrays.mul(G[[0] * k + [k - 1] * (k - 1)], G[[*range(k), *range(1, k)]])
-    return (arrays.digits[terms].sum(axis=1, dtype=np.int64) % F.p @ F.p ** np.arange(F.e)).tolist()
-
-
-def spec_verdict(spec: GrsSpec, budget: int = DEFAULT_BUDGET) -> dict:
-    """LinearCode(spec.field, spec._rows).verdict(budget), proven from the spec
-    once mds_route meets the budget and names the route: the hull is k - rank
-    of (h_(s+t)), nonsingular when power_sums have linear complexity k, else
-    its RREF gives the rank (Massey 1992). Rows power_sums has checked are a
-    GRS code's, which is MDS (MacWilliams and Sloane 1977, ch. 11): d = n - k + 1
-    on either route, given on the enumeration one, with no codeword weighed."""
-    F, n, k = spec.field, spec.length, spec.k
-    route = mds_route(F.q, n, k, budget)
-    h = power_sums(spec)
-    L = linear_complexity(F, h)
-    hull = 0 if L == k else k - len(_rref(F, np.array([h[r : r + k] for r in range(k)]))[1])
-    return {"hull_dimension": hull, "is_lcd": hull == 0, "is_mds": True, "mds_route": route,
-            "min_distance": n - k + 1 if route == ROUTE_ENUMERATION else None}
-
-
 def verify_report(report: ConstructionReport, budget: int = DEFAULT_BUDGET) -> ConstructionReport:
-    """Prove the report's code LCD and MDS from its spec (spec_verdict).
+    """Prove the report's code LCD and MDS from its spec (GrsSpec.verdict).
 
     Fills report.verified and returns the report; raises TheoremViolation if
     the constructed code is not LCD, or its rows are not its spec's V diag(v),
@@ -362,7 +328,7 @@ def verify_report(report: ConstructionReport, budget: int = DEFAULT_BUDGET) -> C
     outcome). BudgetExceeded is raised before any work when neither route fits.
     """
     spec = report.spec
-    v = report.verified = spec_verdict(spec, budget)
+    v = report.verified = spec.verdict(budget)
     if v["hull_dimension"]:
         raise TheoremViolation(
             f"{report.theorem} produced a code with hull dimension {v['hull_dimension']}, "

@@ -18,8 +18,9 @@ through the scaled values off its Newton coefficients (divided_differences),
 from two read-only tables it makes on its first call: the powers s_i a_i^t,
 t < k (n k entries), and poly.inverse_differences of the locators (n(n-1)/2).
 
-construct.spec_verdict proves a code, with no generator(), from the power sums
-h_m = sum v_i^2 a_i^m: G G^T is their Hankel matrix, +1 at h_(2k-2) if extended.
+GrsSpec.verdict proves a code, with no generator(), from the power sums
+h_m = sum v_i^2 a_i^m: G G^T is their Hankel matrix, +1 at h_(2k-2) if extended,
+and its rank is min(L, 2k - L) for their linear complexity L.
 
 The u_i above and the window family's multipliers are products of
 differences of locators; difference_products computes each one as a sum of
@@ -40,9 +41,9 @@ from functools import cached_property
 import numpy as np
 
 from . import linear
-from .errors import FieldMismatch, LcdMdsError, ParameterError
+from .errors import FieldMismatch, LcdMdsError, ParameterError, TheoremViolation
 from .fields import Field, json_int
-from .poly import Poly, divided_differences, inverse_differences
+from .poly import Poly, divided_differences, inverse_differences, linear_complexity
 from .poly import interpolate  # noqa: F401 (perfbench wraps grs.interpolate)
 
 
@@ -127,6 +128,34 @@ class GrsSpec:
             rows[-1, -1] = 1
         rows.flags.writeable = False
         return rows
+
+    def _power_sums(self) -> list[int]:
+        """h_0..h_(2k-2), with G G^T = (h_(s+t)) for G = _rows, once an O(kn)
+        check shows G is V diag(v) on distinct locators and nonzero multipliers,
+        with e_(k-1) as an extended spec's last column; else TheoremViolation (a
+        bug). Row products G[0] G[m] and G[k-1] G[m] give every index."""
+        F, n, k, G = self.field, self.n, self.k, self._rows
+        arrays, a, v = F.arrays, np.array(self.locators), np.array(self.multipliers)
+        V, extra = G[:, :n], [[0] * (k - 1) + [1]] if self.extended else []
+        if not (G.shape == (k, self.length) and (V[0] == v).all() and G[:, n:].T.tolist() == extra
+                and (V[1:] == arrays.mul(V[:-1], a)).all() and np.unique(a).size == n and v.all()):
+            raise TheoremViolation(f"rows of a [{self.length}, {k}] spec are not its V diag(v): a bug")
+        terms = arrays.mul(G[[0] * k + [k - 1] * (k - 1)], G[[*range(k), *range(1, k)]])
+        return (arrays.digits[terms].sum(axis=1, dtype=np.int64) % F.p @ F.p ** np.arange(F.e)).tolist()
+
+    def verdict(self, budget: int = linear.DEFAULT_BUDGET) -> dict:
+        """generator().verdict(budget), proven from the spec with no generator():
+        once linear.mds_route meets the budget and names the route, the hull
+        is k - rank (h_(s+t)) = k - min(L, 2k - L), L the linear complexity of
+        _power_sums (Massey 1992; Jonckheere and Ma 1989). Rows _power_sums
+        has checked are a GRS code's, which is MDS (MacWilliams and Sloane
+        1977, ch. 11): d = n - k + 1, given on the enumeration route, with no
+        codeword weighed."""
+        n, k = self.length, self.k
+        route = linear.mds_route(self.field.q, n, k, budget)
+        L = linear_complexity(self.field, self._power_sums())
+        d = n - k + 1 if route == linear.ROUTE_ENUMERATION else None
+        return linear.verdict_record(k - min(L, 2 * k - L), True, route, d)
 
     def _vandermonde(self, scale, width: int) -> np.ndarray:
         """The k x width matrix of s_i a_i^r, r < k, with zeros past column n."""

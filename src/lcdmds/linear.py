@@ -4,7 +4,7 @@ This module holds the generic oracles that verify runs and tests check
 against: RREF and rank, duals via null spaces, hull dimensions, and one MDS
 check, LinearCode.mds_check, whose two named routes mds_route picks from
 (q, n, k) and the budget: enumeration of one codeword per projective point,
-which also gives the minimum distance (construct.spec_verdict weighs none),
+which also gives the minimum distance (GrsSpec.verdict weighs none),
 and column subsets, every k-column submatrix nonsingular. That route first
 asks _grs_certificate, one RREF [I | A] of G and O(k(n - k)) checks that A
 is a generalized Cauchy matrix, which decides every GRS and extended GRS
@@ -492,14 +492,7 @@ class LinearCode:
         The hull was stored when the code was made; only the MDS check meets the budget.
         """
         mds, route, dist = self.mds_check(budget)
-        hull = self.hull_dimension()
-        return {
-            "hull_dimension": hull,
-            "is_lcd": hull == 0,
-            "is_mds": mds,
-            "mds_route": route,
-            "min_distance": dist,
-        }
+        return verdict_record(self.hull_dimension(), mds, route, dist)
 
     # -- serialization --
 
@@ -510,6 +503,12 @@ class LinearCode:
     def from_dict(cls, d: dict) -> "LinearCode":
         F, G = read_code_record(d)
         return cls(F, G, n=G.shape[1])
+
+
+def verdict_record(hull: int, is_mds: bool, route: str, min_distance: int | None) -> dict:
+    """The JSON-ready LCD/MDS verdict: the one writer for LinearCode.verdict and GrsSpec.verdict."""
+    return {"hull_dimension": hull, "is_lcd": hull == 0, "is_mds": is_mds, "mds_route": route,
+            "min_distance": min_distance}
 
 
 def code_record(field: Field, G) -> dict:

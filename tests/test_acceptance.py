@@ -35,7 +35,7 @@ from lcdmds import (
     verify_report,
 )
 from lcdmds.cli import main as cli_main
-from lcdmds.construct import THEOREM_PRIME_POWER, spec_verdict
+from lcdmds.construct import THEOREM_PRIME_POWER
 
 QS = (5, 7, 9, 11, 13)
 BUDGET = 10**6
@@ -265,7 +265,7 @@ def test_spec_verdicts_match_the_generic_oracles(grid):
         spec = c.report.spec
         for s, verdict in ((spec, c.report.verified), (spec.dual(), None)):
             expected = LinearCode(s.field, s._rows).verdict(BUDGET)
-            assert (verdict or spec_verdict(s, BUDGET)) == expected, (c.q, s.length, s.k)
+            assert (verdict or s.verdict(BUDGET)) == expected, (c.q, s.length, s.k)
     print("PASS: spec verdicts equal the generic oracles' on the grid codes and their duals")
 
 

@@ -493,9 +493,9 @@ def test_verify_meets_the_budget_before_any_elimination(capsys, tmp_path, elimin
 
 def test_construct_and_sweep_prove_codes_from_their_specs(capsys, tmp_path, monkeypatch, eliminations):
     # verify_report proves a report from its spec: it makes no LinearCode, no
-    # G Gt (_product) and no RREF of G, and as these codes are LCD their
-    # Hankel matrices have linear complexity k, so no k x k RREF either; nor
-    # does it weigh a codeword (_enumerate_min_weight) on either route
+    # G Gt (_product) and no RREF of G, and the rank of the Hankel matrix
+    # comes from its linear complexity, so no k x k RREF either; nor does it
+    # weigh a codeword (_enumerate_min_weight) on either route
     inits, weighed = [], []
     init, weigh = lcdmds.linear.LinearCode.__init__, lcdmds.linear._enumerate_min_weight
     monkeypatch.setattr(lcdmds.linear.LinearCode, "__init__",
@@ -514,6 +514,10 @@ def test_construct_and_sweep_prove_codes_from_their_specs(capsys, tmp_path, monk
     }
     path = tmp_path / "sweep.json"
     assert run(capsys, "sweep", "--q", "9", "--output", str(path))[0] == 0
+    # nor does a spec whose code is not LCD: the extended [26, 5] code with
+    # v = 1 over GF(25) has hull 4 from its linear complexity 9 alone
+    spec = lcdmds.GrsSpec(field(5, 2), tuple(range(25)), (1,) * 25, 5, extended=True)
+    assert spec.verdict()["hull_dimension"] == 4
     assert (inits, eliminations, weighed) == ([], [], [])
     # the enumeration route names the budget route, and its min_distance is
     # n - k + 1 from the checked form, not from weighed codewords

@@ -32,7 +32,6 @@ from lcdmds import (
     field_from_order,
 )
 from lcdmds import linear
-from lcdmds.construct import power_sums, spec_verdict
 from lcdmds.grs import difference_products
 
 F5 = field(5)
@@ -356,18 +355,18 @@ def test_hull_matches_the_hankel_matrix_of_the_spec():
 
 
 def test_power_sums_give_the_gram_matrix_and_the_hull():
-    # the Hankel matrix of power_sums is G Gt from linear._product, entry for
-    # entry, and spec_verdict's hull (Berlekamp-Massey, then an RREF of that
-    # matrix when it is singular) is hankel_hull's, in characteristic 2 too
+    # the Hankel matrix of _power_sums is G Gt from linear._product, entry for
+    # entry, and GrsSpec.verdict's hull (k - min(L, 2k - L) from the linear
+    # complexity L alone) is hankel_hull's, in characteristic 2 too
     hulls = []
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(grs_specs(orders=((2, 3), (5, 1), (3, 2), (5, 2), (3, 3))))
     def check(spec):
         F, k, G = spec.field, spec.k, spec._rows
-        h = power_sums(spec)
+        h = spec._power_sums()
         assert [h[r : r + k] for r in range(k)] == linear._product(F, G, G.T).tolist()
-        hulls.append(spec_verdict(spec, comb(spec.length, k))["hull_dimension"])
+        hulls.append(spec.verdict(comb(spec.length, k))["hull_dimension"])
         assert hulls[-1] == hankel_hull(spec)
 
     check()
@@ -376,12 +375,19 @@ def test_power_sums_give_the_gram_matrix_and_the_hull():
     # m < q - 1 is 0, so the Hankel matrix is 0 and the hull is k
     for F, k in ((field(5, 2), 5), (field(2, 3), 2), (field(3, 3), 13)):
         spec = GrsSpec(F, tuple(range(F.q)), (1,) * F.q, k)
-        assert power_sums(spec) == [0] * (2 * k - 1)
-        assert spec_verdict(spec, comb(F.q, k))["hull_dimension"] == k == hankel_hull(spec)
+        assert spec._power_sums() == [0] * (2 * k - 1)
+        assert spec.verdict(comb(F.q, k))["hull_dimension"] == k == hankel_hull(spec)
+    # extended, with 2k - 2 < q - 1: the last column adds 1 at h_(2k-2), so
+    # h = (0, .., 0, 1), L = 2k - 1 > k and the Hankel rank is 2k - L = 1
+    for F, k in ((field(5, 2), 5), (field(2, 3), 2), (field(3, 3), 6), (field(7), 3)):
+        spec = GrsSpec(F, tuple(range(F.q)), (1,) * F.q, k, extended=True)
+        assert spec._power_sums() == [0] * (2 * k - 2) + [1]
+        hull = spec.verdict(comb(spec.length, k))["hull_dimension"]
+        assert hull == k - 1 == hankel_hull(spec) == spec.generator().hull_dimension()
 
 
 def test_spec_verdict_matches_the_generic_verdict_past_the_grid():
-    # spec_verdict's closed form (hull from the power sums, MDS and
+    # GrsSpec.verdict's closed form (hull from the power sums, MDS and
     # d = n - k + 1 from the checked V diag(v)) against LinearCode.verdict,
     # which eliminates G Gt and weighs codewords (C's, or its dual's when
     # that side is cheaper) or decides column subsets: every k of each drawn
@@ -396,7 +402,7 @@ def test_spec_verdict_matches_the_generic_verdict_past_the_grid():
             s = dataclasses.replace(spec, k=k)
             for budget in (linear.DEFAULT_BUDGET, comb(s.length, k)):
                 try:
-                    got = spec_verdict(s, budget)
+                    got = s.verdict(budget)
                 except BudgetExceeded:
                     continue
                 assert got == LinearCode(s.field, s._rows).verdict(budget), (s, budget)

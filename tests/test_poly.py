@@ -155,26 +155,38 @@ def test_linear_complexity_gives_the_hankel_rank_of_every_sequence(q, k_max):
             assert min(L, 2 * k - L) == hankel_rank(F, s, k), s
 
 
-@pytest.mark.parametrize("pe", [(5, 2), (3, 3)])
+@pytest.mark.parametrize("pe", [(5, 2), (3, 3), (2, 4), (7, 1)])
 def test_linear_complexity_gives_the_hankel_rank_in_extension_fields(pe):
     F = field(*pe)
     rng = random.Random(F.q)
-    singular = set()
+    singular, beyond = set(), set()
     for _ in range(400):
-        k = rng.randint(1, 6)
+        k = rng.randint(1, 16)
         s = [rng.randrange(F.q) for _ in range(2 * k - 1)]
-        # zero a random run, or copy a short recurrence's output, so that
-        # singular matrices are drawn often
-        if rng.random() < 0.3:
+        # zero a random run, copy a short recurrence's output, or plant rank
+        # r < k as a sum of r geometric sequences, so that singular matrices
+        # are drawn often; a nonzero added to the last entry of a planted one
+        # makes L = 2k - 1 - r > k when r < k - 1, the 2k - L side
+        draw = rng.random()
+        if draw < 0.25:
             i = rng.randrange(len(s))
             j = rng.randint(i + 1, len(s))
             s[i:j] = [0] * (j - i)
-        elif rng.random() < 0.4 and k > 1:
+        elif draw < 0.5 and k > 1:
             c = rng.randrange(F.q)
             for j in range(1, len(s)):
                 s[j] = F.mul(c, s[j - 1])
+        elif draw < 0.9 and k > 1:
+            terms = [(rng.randrange(1, F.q), rng.randrange(1, F.q)) for _ in range(rng.randrange(k))]
+            s = [0] * (2 * k - 1)
+            for c, x in terms:
+                for j in range(len(s)):
+                    s[j] = F.add(s[j], F.mul(c, F.pow(x, j)))
+            if rng.random() < 0.5:
+                s[-1] = F.add(s[-1], rng.randrange(1, F.q))
         L = linear_complexity(F, s)
         rank = hankel_rank(F, s, k)
         assert min(L, 2 * k - L) == rank, s
         singular.add(rank < k)
-    assert singular == {False, True}
+        beyond.add(L > k)
+    assert singular == beyond == {False, True}
