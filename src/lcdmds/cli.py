@@ -12,6 +12,12 @@ json.dumps(obj, sort_keys=True, indent=2) plus a newline, with no timestamps,
 so identical inputs produce byte-identical bytes. _write writes them in
 pieces, one per element of the document's top two levels, so no string
 longer than one generator row (or sweep row) is held at once.
+
+sweep builds its cells in grid order and proves the built ones a chunk at a
+time (grs.chunks, at most linear.BATCH_ENTRIES padded entries), printing a
+chunk's table rows once it is proven and keeping no report past its chunk.
+The table's ms column, a cell's checks and build plus an equal share of its
+chunk's proof, is a timing and not part of the canonical JSON.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .construct import (
     construct_auto,
     require_construction_field,
     verify_report,
+    verify_reports,
 )
 from .errors import (
     BudgetExceeded,
@@ -42,6 +49,7 @@ from .errors import (
     TheoremViolation,
 )
 from .fields import Field, field, prime_power
+from .grs import chunks
 from .linear import DEFAULT_BUDGET, LinearCode, mds_route, read_code_record
 
 BUDGET_ENV = "LCDMDS_BUDGET"
@@ -207,28 +215,26 @@ def cmd_verify(args) -> int:
 # ---------- sweep ----------
 
 
-def _sweep_cell(F: Field, n: int, k: int, budget: int) -> dict:
-    """One row: the family's checks, then the budget, and only then the build."""
-    verdict_keys = ("hull_dimension", "is_mds", "mds_route", "min_distance")
+_VERDICT_KEYS = ("hull_dimension", "is_mds", "mds_route", "min_distance")
+
+
+def _sweep_cell(F: Field, n: int, k: int, budget: int):
+    """One cell: the family's checks, then the budget, and only then the build.
+    Its row, its report (None when nothing was built) and the seconds taken."""
+    start = perf_counter()
     row = {"n": n, "k": k, "condition": "none", "status": "no_construction", "verified": False}
-    row.update(dict.fromkeys(verdict_keys))
+    row.update(dict.fromkeys(_VERDICT_KEYS))
+    report = None
     try:
         row["condition"] = _choose_family(F, n, k)[0].tag
         mds_route(F.q, n, k, budget)
     except NoConstructionApplies:
-        return row
+        pass
     except BudgetExceeded:
         row["status"] = "budget_exceeded"
-        return row
-    report = construct_auto(F, n, k, theorem=row["condition"])
-    try:
-        verify_report(report, budget)
-        row["status"] = "ok"
-    except TheoremViolation:
-        row["status"] = "violation"
-    row["verified"] = row["status"] == "ok"
-    row.update((key, report.verified[key]) for key in verdict_keys if report.verified)
-    return row
+    else:
+        report = construct_auto(F, n, k, theorem=row["condition"])
+    return row, report, perf_counter() - start
 
 
 def cmd_sweep(args) -> int:
@@ -252,24 +258,35 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep(F: Field, n_max: int, budget: int, out) -> int:
-    """Run every cell, printing its table row as it finishes, then write the JSON result to out."""
+    """Run every cell, then write the JSON result to out. The built cells of
+    a chunk (grs.chunks) are proven together, and the chunk's table rows are
+    printed once they are; a row's ms is its cell's checks and build plus an
+    equal share of its chunk's proof."""
     header = f"{'n':>4} {'k':>3}  {'condition':<18} {'status':<16} {'hull':>4} {'mds':>4}  {'route':<15} {'d':>3} {'ms':>8}"
     print(header)
     print("-" * len(header))
     rows = []
-    for n, k in ((n, k) for n in range(4, n_max + 1) for k in range(2, n // 2 + 1)):
+    cells = (_sweep_cell(F, n, k, budget) for n in range(4, n_max + 1) for k in range(2, n // 2 + 1))
+    for chunk in chunks(cells, lambda cell: cell[1] and cell[1].spec):
         start = perf_counter()
-        row = _sweep_cell(F, n, k, budget)
-        secs = perf_counter() - start
-        rows.append(row)
-        hull = "-" if row["hull_dimension"] is None else str(row["hull_dimension"])
-        mds = "-" if row["is_mds"] is None else ("yes" if row["is_mds"] else "no")
-        dist = "-" if row["min_distance"] is None else str(row["min_distance"])
-        route = row["mds_route"] or "-"
-        print(
-            f"{row['n']:>4} {row['k']:>3}  {row['condition']:<18} {row['status']:<16} "
-            f"{hull:>4} {mds:>4}  {route:<15} {dist:>3} {secs * 1000:>8.1f}"
-        )
+        reports = [report for _, report, _ in chunk if report]
+        failures = iter(verify_reports(reports, budget))
+        share = (perf_counter() - start) / max(1, len(reports))
+        for row, report, secs in chunk:
+            if report:
+                row["status"] = "ok" if next(failures) is None else "violation"
+                row["verified"] = row["status"] == "ok"
+                row.update((key, report.verified[key]) for key in _VERDICT_KEYS if report.verified)
+                secs += share
+            rows.append(row)
+            hull = "-" if row["hull_dimension"] is None else str(row["hull_dimension"])
+            mds = "-" if row["is_mds"] is None else ("yes" if row["is_mds"] else "no")
+            dist = "-" if row["min_distance"] is None else str(row["min_distance"])
+            route = row["mds_route"] or "-"
+            print(
+                f"{row['n']:>4} {row['k']:>3}  {row['condition']:<18} {row['status']:<16} "
+                f"{hull:>4} {mds:>4}  {route:<15} {dist:>3} {secs * 1000:>8.1f}"
+            )
     result = {
         "q": F.q,
         "field": F.to_dict(),

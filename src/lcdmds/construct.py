@@ -6,9 +6,12 @@ subgroup, chosen multipliers), so a report can be re-checked from its
 parameters alone. The prime-power and large-n+k builders take their
 multipliers from closed forms of the dual multipliers u_i, stated in their
 docstrings, and compute no u_i. verify_report then proves the code from its
-spec in O(kn), with no LinearCode and no codeword weighed (GrsSpec.verdict),
-and refuses to return one that is not LCD; lcdmds verify, given a record and
-no spec to trust, runs linear.py's oracles, enumeration included.
+spec in O(kn), with no LinearCode and no codeword weighed (grs.verdicts),
+and refuses to return one that is not LCD; verify_reports proves many
+reports' specs together, in one array pass a chunk, and returns each
+report's TheoremViolation instead of raising it, so lcdmds sweep can prove
+a chunk of cells at once. lcdmds verify, given a record and no spec to
+trust, runs linear.py's oracles, enumeration included.
 
 All families need an odd prime power q > 3, a length n <= q + 1 and a
 dimension 1 < k <= floor(n/2) (larger k is covered by duality: the dual of an
@@ -29,7 +32,7 @@ from typing import Callable
 
 from .errors import NoConstructionApplies, ParameterError, TheoremViolation
 from .fields import Field, json_int
-from .grs import GrsSpec, difference_products
+from .grs import GrsSpec, difference_products, verdicts
 from .grs import dual_multipliers  # noqa: F401 (perfbench wraps construct.dual_multipliers)
 from .linear import DEFAULT_BUDGET, code_record
 
@@ -319,20 +322,32 @@ def construct_auto(
     return family.build(F, n, k, **overrides)
 
 
-def verify_report(report: ConstructionReport, budget: int = DEFAULT_BUDGET) -> ConstructionReport:
-    """Prove the report's code LCD and MDS from its spec (GrsSpec.verdict).
+def verify_reports(reports, budget: int = DEFAULT_BUDGET) -> list[TheoremViolation | None]:
+    """Prove each report's code LCD and MDS from its spec, the specs together
+    (grs.verdicts): None for a proven report, else the TheoremViolation it
+    earns, which leaves the others alone and is returned, not raised.
 
-    Fills report.verified and returns the report; raises TheoremViolation if
-    the constructed code is not LCD, or its rows are not its spec's V diag(v),
-    whose check proves it MDS (either would be a bug, never an acceptable
-    outcome). BudgetExceeded is raised before any work when neither route fits.
+    A report's code is not LCD, or its rows are not its spec's V diag(v),
+    whose check proves it MDS: either would be a bug, never an acceptable
+    outcome. report.verified is filled unless the rows fail. BudgetExceeded
+    is raised before any work when neither route fits a report.
     """
-    spec = report.spec
-    v = report.verified = spec.verdict(budget)
-    if v["hull_dimension"]:
-        raise TheoremViolation(
-            f"{report.theorem} produced a code with hull dimension {v['hull_dimension']}, "
-            f"MDS = {v['is_mds']} over {spec.field!r} "
-            f"(n = {spec.length}, k = {spec.k}); this is a bug"
-        )
+    failures = []
+    for report, verdict in zip(reports, verdicts([report.spec for report in reports], budget)):
+        if isinstance(verdict, dict):
+            report.verified, spec, hull = verdict, report.spec, verdict["hull_dimension"]
+            verdict = None if not hull else TheoremViolation(
+                f"{report.theorem} produced a code with hull dimension {hull}, "
+                f"MDS = {verdict['is_mds']} over {spec.field!r} "
+                f"(n = {spec.length}, k = {spec.k}); this is a bug"
+            )
+        failures.append(verdict)
+    return failures
+
+
+def verify_report(report: ConstructionReport, budget: int = DEFAULT_BUDGET) -> ConstructionReport:
+    """verify_reports on this report alone: returns it, verified, or raises its TheoremViolation."""
+    (failure,) = verify_reports([report], budget)
+    if failure:
+        raise failure
     return report

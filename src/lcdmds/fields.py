@@ -27,14 +27,14 @@ the modulus, and the test that g^((q - 1)/r) != 1 for each prime r | q - 1.
 FieldArrays applies the same arithmetic element-wise to numpy arrays of
 element indices, for kernels that work on many matrices at once. It holds
 the arrays the tables were computed as (the Zech table twice over) and
-builds none of its own; the scalar operations read the same tables as Python
-lists.
+builds one of its own, on its first sum: the digits packed into int64 words.
+The scalar operations read the same tables as Python lists.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -354,7 +354,9 @@ class FieldArrays:
     their logs mod q1 = q - 1 and one exp lookup (grs.difference_products).
     inv is a table too, indexed like exp and log, and inv[0] reads 0. digits[a]
     holds the e base-p digits of element a, in the narrowest unsigned type that
-    also holds a sum of two digits.
+    also holds a sum of two digits. A sum of many elements is their digit sums
+    mod p, and sum takes every digit sum of a row at once from one int64 sum
+    of digits packed into words.
     """
 
     def __init__(self, p: int, e: int, digits, inv, exp, log, zech, neg):
@@ -369,6 +371,30 @@ class FieldArrays:
 
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]
+
+    def sum(self, x):
+        """The field sum of x along its last axis, of at most q entries: one
+        gather of _packed words, an int64 sum, and the digit sums unpacked mod p."""
+        words, shifts, mask, weights = self._packed
+        digits = (words[:, x].sum(axis=-1)[..., None] >> shifts & mask) % self.p
+        return sum(d @ w for d, w in zip(digits, weights))
+
+    @cached_property
+    def _packed(self):
+        """Each element's e digits packed b bits a digit, 63 // b digits an
+        int64 word, as a (words, q) array, and how to unpack a word: with
+        q (p - 1) < 2^b, a sum of q elements' words keeps each digit sum in
+        its own b bits. weights[w] holds the powers of p of word w's digits."""
+        q, e = self.digits.shape
+        b = (q * (self.p - 1)).bit_length()
+        g = 63 // b
+        powers = np.zeros(-(-e // g) * g, dtype=np.int64)
+        powers[:e] = self.p ** np.arange(e)
+        digits = np.zeros((q, powers.size), dtype=np.int64)
+        digits[:, :e] = self.digits
+        shifts = b * np.arange(g)
+        words = (digits.reshape(q, -1, g) << shifts).sum(axis=2).T.copy()
+        return words, shifts, (1 << b) - 1, powers.reshape(-1, g)
 
     def submul(self, a, b, c):
         """a - b c, broadcast; b = 1 makes a difference."""

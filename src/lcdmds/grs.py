@@ -17,10 +17,17 @@ independent of linear.py: in_dual reads the degree of the witness polynomial
 through the scaled values off its Newton coefficients (divided_differences),
 from two read-only tables it makes on its first call: the powers s_i a_i^t,
 t < k (n k entries), and poly.inverse_differences of the locators (n(n-1)/2).
+Every table of scaled powers s_i a_i^t, those and the rows v_i a_i^r alike,
+is one exp lookup of the logs _power_logs takes, (t log a_i + log s_i)
+mod (q - 1).
 
-GrsSpec.verdict proves a code, with no generator(), from the power sums
+verdicts proves a list of specs, with no generator(), from their power sums
 h_m = sum v_i^2 a_i^m: G G^T is their Hankel matrix, +1 at h_(2k-2) if extended,
-and its rank is min(L, 2k - L) for their linear complexity L.
+and its rank is min(L, 2k - L) for their linear complexity L. Its chunks
+(of at most linear.BATCH_ENTRIES padded entries, over one field) each take
+one array pass, _proofs, which builds and checks the rows and takes the
+power sums of every spec in the chunk; GrsSpec.verdict is verdicts on one
+spec, and lcdmds sweep hands it the built cells of a chunk.
 
 The u_i above and the window family's multipliers are products of
 differences of locators; difference_products computes each one as a sum of
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -59,6 +67,16 @@ def difference_products(F: Field, points, others) -> np.ndarray:
     step = max(1, linear.BATCH_ENTRIES // max(1, x.size))
     logs = (arrays.log[arrays.submul(a[i : i + step], 1, x)] for i in range(0, len(a) or 1, step))
     return arrays.exp[np.concatenate([d.sum(axis=1) for d in logs]) % arrays.q1]
+
+
+def _power_logs(arrays, a, s, count: int) -> np.ndarray:
+    """The logs of s_i a_i^m, m < count, that index arrays.exp: one
+    (..., count, n) array from the (..., n) element arrays a and s, each entry
+    (m log a_i + log s_i) mod (q - 1), or log 0 = 2(q - 1) where s_i = 0
+    or a_i = 0 < m, as in zero padding."""
+    la, ls, zero = arrays.log[a][..., None, :], arrays.log[s][..., None, :], 2 * arrays.q1
+    m = np.arange(count)[:, None]
+    return np.where((la == zero) & (m > 0) | (ls == zero), zero, (m * la + ls) % arrays.q1)
 
 
 def dual_multipliers(F: Field, locators) -> tuple[int, ...]:
@@ -122,52 +140,27 @@ class GrsSpec:
 
     @cached_property
     def _rows(self) -> np.ndarray:
-        """The k x length Vandermonde-with-multipliers generator matrix, read-only."""
-        rows = self._vandermonde(self.multipliers, self.length)
+        """The k x length Vandermonde-with-multipliers generator matrix, read-only
+        (verdicts stores the rows it checks here, so they are built once)."""
+        arrays, a, v = self.field.arrays, np.array(self.locators), np.array(self.multipliers)
+        return self._framed(arrays.exp[_power_logs(arrays, a, v, self.k)])
+
+    def _framed(self, V) -> np.ndarray:
+        """V = (v_i a_i^r), k x n, as the read-only k x length _rows: e_(k-1) appended when extended."""
+        rows = np.zeros((self.k, self.length), dtype=np.int64)
+        rows[:, : self.n] = V
         if self.extended:
             rows[-1, -1] = 1
         rows.flags.writeable = False
         return rows
 
-    def _power_sums(self) -> list[int]:
-        """h_0..h_(2k-2), with G G^T = (h_(s+t)) for G = _rows, once an O(kn)
-        check shows G is V diag(v) on distinct locators and nonzero multipliers,
-        with e_(k-1) as an extended spec's last column; else TheoremViolation (a
-        bug). Row products G[0] G[m] and G[k-1] G[m] give every index."""
-        F, n, k, G = self.field, self.n, self.k, self._rows
-        arrays, a, v = F.arrays, np.array(self.locators), np.array(self.multipliers)
-        V, extra = G[:, :n], [[0] * (k - 1) + [1]] if self.extended else []
-        if not (G.shape == (k, self.length) and (V[0] == v).all() and G[:, n:].T.tolist() == extra
-                and (V[1:] == arrays.mul(V[:-1], a)).all() and np.unique(a).size == n and v.all()):
-            raise TheoremViolation(f"rows of a [{self.length}, {k}] spec are not its V diag(v): a bug")
-        terms = arrays.mul(G[[0] * k + [k - 1] * (k - 1)], G[[*range(k), *range(1, k)]])
-        return (arrays.digits[terms].sum(axis=1, dtype=np.int64) % F.p @ F.p ** np.arange(F.e)).tolist()
-
     def verdict(self, budget: int = linear.DEFAULT_BUDGET) -> dict:
         """generator().verdict(budget), proven from the spec with no generator():
-        once linear.mds_route meets the budget and names the route, the hull
-        is k - rank (h_(s+t)) = k - min(L, 2k - L), L the linear complexity of
-        _power_sums (Massey 1992; Jonckheere and Ma 1989). Rows _power_sums
-        has checked are a GRS code's, which is MDS (MacWilliams and Sloane
-        1977, ch. 11): d = n - k + 1, given on the enumeration route, with no
-        codeword weighed."""
-        n, k = self.length, self.k
-        route = linear.mds_route(self.field.q, n, k, budget)
-        L = linear_complexity(self.field, self._power_sums())
-        d = n - k + 1 if route == linear.ROUTE_ENUMERATION else None
-        return linear.verdict_record(k - min(L, 2 * k - L), True, route, d)
-
-    def _vandermonde(self, scale, width: int) -> np.ndarray:
-        """The k x width matrix of s_i a_i^r, r < k, with zeros past column n."""
-        arrays = self.field.arrays
-        scale = np.array(scale, dtype=np.int64)
-        locators = np.array(self.locators, dtype=np.int64)
-        rows = np.zeros((self.k, width), dtype=np.int64)
-        powers = np.ones(self.n, dtype=np.int64)  # a^r, with 0^0 = 1
-        for r in range(self.k):
-            rows[r, : self.n] = arrays.mul(scale, powers)
-            powers = arrays.mul(powers, locators)
-        return rows
+        verdicts on this spec alone, raising its TheoremViolation."""
+        (verdict,) = verdicts([self], budget)
+        if isinstance(verdict, TheoremViolation):
+            raise verdict
+        return verdict
 
     def _check_message(self, f: Poly) -> None:
         """FieldMismatch or ParameterError unless f, over the field, has degree < k."""
@@ -209,7 +202,8 @@ class GrsSpec:
 
     @cached_property
     def _dual_powers(self) -> tuple[tuple[int, ...], ...]:  # s_i a_i^t, one row per t < k
-        return tuple(map(tuple, self._vandermonde(self._dual_scale, self.n).tolist()))
+        arrays, a, s = self.field.arrays, np.array(self.locators), np.array(self._dual_scale)
+        return tuple(map(tuple, arrays.exp[_power_logs(arrays, a, s, self.k)].tolist()))
 
     @cached_property
     def _inverse_differences(self) -> tuple[tuple[int, ...], ...]:
@@ -239,3 +233,99 @@ class GrsSpec:
             return cls(F, tuple(d["locators"]), tuple(d["multipliers"]), k, extended)
         except (KeyError, TypeError, ValueError) as exc:
             raise exc if isinstance(exc, LcdMdsError) else ParameterError(f"malformed spec: {exc}")
+
+
+def verdicts(specs, budget: int = linear.DEFAULT_BUDGET) -> list:
+    """GrsSpec.verdict of each spec, proven together, or the TheoremViolation
+    its rows earn in its place, which leaves the others alone.
+
+    linear.mds_route meets the budget and names the route for every spec
+    before any work. Then one _proofs pass a chunk gives each spec its power
+    sums h_m = sum v_i^2 a_i^m, m < 2k - 1, once it has checked the rows
+    G = V diag(v): G G^T is their Hankel matrix, +1 at h_(2k-2) if extended,
+    so the hull is k - min(L, 2k - L), L their linear complexity (Massey
+    1992; Jonckheere and Ma 1989). Checked rows are a GRS code's, which is
+    MDS (MacWilliams and Sloane 1977, ch. 11): d = n - k + 1, given on the
+    enumeration route, with no codeword weighed.
+    """
+    routes = [linear.mds_route(s.field.q, s.length, s.k, budget) for s in specs]
+    results = []
+    for spec, route, h in zip(specs, routes, (h for chunk in chunks(specs) for h in _proofs(chunk))):
+        if not isinstance(h, TheoremViolation):
+            n, k, L = spec.length, spec.k, linear_complexity(spec.field, h)
+            d = n - k + 1 if route == linear.ROUTE_ENUMERATION else None
+            h = linear.verdict_record(k - min(L, 2 * k - L), True, route, d)
+        results.append(h)
+    return results
+
+
+def chunks(items, spec_of=lambda item: item):
+    """Runs of consecutive items, each one _proofs batch: the specs among them
+    (spec_of(item), None for an item with none) share one field and fill a
+    zero-padded (specs, 2k - 1, n) array of at most linear.BATCH_ENTRIES
+    entries, or are one spec. An item with no spec and no spec before it in
+    its run is a run of its own."""
+    run, F, count, height, width = [], None, 0, 0, 0
+    for item in items:
+        spec = spec_of(item)
+        if spec is not None:
+            h, w = max(height, 2 * spec.k - 1), max(width, spec.n)
+            if count and (spec.field is not F or (count + 1) * h * w > linear.BATCH_ENTRIES):
+                yield run
+                run, count, h, w = [], 0, 2 * spec.k - 1, spec.n
+            F, count, height, width = spec.field, count + 1, h, w
+        run.append(item)
+        if not count:
+            yield run
+            run = []
+    if run:
+        yield run
+
+
+def _proofs(specs) -> list:
+    """For specs over one field, each one's power sums h_0..h_(2k-2), once an
+    O(kn) check shows its rows G are V diag(v) on distinct locators and
+    nonzero multipliers, with e_(k-1) as an extended spec's last column; else
+    the TheoremViolation of a bug.
+
+    One array pass: _power_logs gives every v_i a_i^m, m < 2k - 1, in a
+    zero-padded (specs, 2k_max - 1, n_max) array. A spec's first k rows
+    there are checked and stored as its _rows, or, if it has _rows already,
+    those are checked in their place. v_i^2 a_i^m is one more exp lookup,
+    and FieldArrays.sum adds each row up.
+    """
+    F, c, k = specs[0].field, len(specs), max(s.k for s in specs)
+    arrays, width = F.arrays, max(s.n for s in specs)
+
+    def padded(rows):  # a (specs, width) array, zero padded
+        flat = chain.from_iterable(row + (0,) * (width - len(row)) for row in rows)
+        return np.fromiter(flat, np.int64, c * width).reshape(c, width)
+
+    a, v = padded(s.locators for s in specs), padded(s.multipliers for s in specs)
+    logs = _power_logs(arrays, a, v, 2 * k - 1)
+    sums = arrays.sum(arrays.exp[logs + arrays.log[v][:, None]])
+    V = arrays.exp[logs[:, :k]]
+    bad = np.zeros(c, dtype=bool)
+    for j, s in enumerate(specs):
+        G = s.__dict__.get("_rows")
+        if G is not None:
+            extra = [[0] * (s.k - 1) + [1]] if s.extended else []
+            bad[j] = G.shape != (s.k, s.length) or G[:, s.n :].T.tolist() != extra
+            if not bad[j]:
+                V[j, : s.k, : s.n] = G[:, : s.n]
+        bad[j] |= len(set(s.locators)) != s.n or not all(s.multipliers)
+    # a spec's rows past its k are computed v_i a_i^m: a step to one of them
+    # fails only if the rows before it already do
+    bad |= (V[:, 0] != v).any(axis=1) | (V[:, 1:] != arrays.mul(V[:, :-1], a[:, None])).any(axis=(1, 2))
+    results = []
+    for j, (s, h) in enumerate(zip(specs, sums.tolist())):
+        if bad[j]:
+            results.append(TheoremViolation(f"rows of a [{s.length}, {s.k}] spec are not its V diag(v): a bug"))
+            continue
+        if "_rows" not in s.__dict__:
+            s.__dict__["_rows"] = s._framed(V[j, : s.k, : s.n])
+        h = h[: 2 * s.k - 1]
+        if s.extended:
+            h[-1] = F.add(h[-1], 1)
+        results.append(h)
+    return results

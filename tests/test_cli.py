@@ -15,10 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lcdmds.cli
+import lcdmds.grs
 import lcdmds.linear
 from lcdmds import (
     BudgetExceeded,
     FieldMismatch,
+    GrsSpec,
     NoConstructionApplies,
     ParameterError,
     TheoremViolation,
@@ -623,6 +625,43 @@ def test_sweep_verdicts_agree_across_budgets(capsys, tmp_path):
             decided += 1
             moved += ours["mds_route"] != other["mds_route"]
     assert decided > moved > 0
+
+
+def test_sweep_isolates_a_violation(capsys, tmp_path, monkeypatch):
+    # a sweep proves the built cells of a chunk together; a planted non-LCD
+    # spec, or planted rows that are not the spec's V diag(v), turns its own
+    # row to violation and the exit code to 4, and every other row of the
+    # chunk reads as in the unplanted run
+    path = tmp_path / "sweep.json"
+    assert run(capsys, "sweep", "--q", "9", "--output", str(path))[0] == 0
+    clean = json.loads(path.read_text())["rows"]
+    F, build, proofs, batches = field(3, 2), lcdmds.cli.construct_auto, lcdmds.grs._proofs, []
+    monkeypatch.setattr(lcdmds.grs, "_proofs", lambda specs: batches.append(specs) or proofs(specs))
+
+    def not_lcd(report):  # the extended [10, 3] code with v = 1 has hull 2
+        report.spec = GrsSpec(F, tuple(range(9)), (1,) * 9, 3, extended=True)
+
+    def corrupt_rows(report):
+        rows = report.spec._rows.copy()
+        rows[-1, 2] = (rows[-1, 2] + 1) % 9
+        report.spec.__dict__["_rows"] = rows
+
+    for cell, plant, hull in (((10, 3), not_lcd, 2), ((8, 3), corrupt_rows, None)):
+        def construct_auto(F, n, k, **kw):
+            report = build(F, n, k, **kw)
+            if (n, k) == cell:
+                plant(report)
+            return report
+
+        monkeypatch.setattr(lcdmds.cli, "construct_auto", construct_auto)
+        batches.clear()
+        assert run(capsys, "sweep", "--q", "9", "--output", str(path))[0] == 4
+        rows = json.loads(path.read_text())["rows"]
+        i = next(i for i, row in enumerate(rows) if (row["n"], row["k"]) == cell)
+        assert (rows[i]["status"], rows[i]["verified"], rows[i]["hull_dimension"]) == ("violation", False, hull)
+        assert rows[:i] + rows[i + 1 :] == clean[:i] + clean[i + 1 :]
+        # the planted spec was proven in one batch with at least 5 others
+        assert [len(b) for b in batches if any((s.length, s.k) == cell for s in b)][0] >= 6
 
 
 def test_sweep_unwritable_output_exits_2(capsys, tmp_path):

@@ -461,13 +461,18 @@ def test_verify_rejects_rows_that_are_not_the_specs(build):
         rows[0, -1] = 1
         spec.__dict__["_rows"] = rows
 
+    def rescale(spec):  # the rows of V diag(2v): every step holds, but row 0 is not v
+        rows = spec._rows.copy()
+        rows[:, : spec.n] = rows[:, : spec.n] * 2 % spec.field.q
+        spec.__dict__["_rows"] = rows
+
     def repeat_locator(spec):
         object.__setattr__(spec, "locators", (spec.locators[1],) + spec.locators[1:])
 
     def zero_multiplier(spec):
         object.__setattr__(spec, "multipliers", spec.multipliers[:-1] + (0,))
 
-    for plant in (corrupt_entry, corrupt_last_column, repeat_locator, zero_multiplier):
+    for plant in (corrupt_entry, corrupt_last_column, rescale, repeat_locator, zero_multiplier):
         report = build()
         plant(report.spec)
         with pytest.raises(TheoremViolation, match="not its V diag"):

@@ -176,6 +176,29 @@ def test_submul_matches_scalar_sub_mul(case):
     assert out.ravel().tolist() == expected
 
 
+@pytest.mark.parametrize("pe", [(5, 1), (65521, 1), (3, 2), (2, 8), (3, 5), (3, 10), (2, 16)])
+def test_array_sum_matches_scalar_additions(pe):
+    # FieldArrays.sum packs several digits into each int64 word (all e of
+    # GF(3^5) in one, 3 to a word in GF(2^16)); rows of q copies of the
+    # element with the largest digits fill every digit sum to q (p - 1)
+    F = field(*pe)
+    rng = np.random.default_rng(F.q)
+    x = rng.integers(0, F.q, size=(3, 4, min(F.q, 300)))
+    x[0, 0] = F.q - 1
+    full = np.full((2, F.q), F.q - 1)
+    full[1, ::2] = 0
+    for rows in (x, full, x[..., :0]):
+        expected = [fold_add(F, row) for row in rows.reshape(math.prod(rows.shape[:-1]), -1).tolist()]
+        assert F.arrays.sum(rows).ravel().tolist() == expected, pe
+
+
+def fold_add(F, row):
+    total = 0
+    for a in row:
+        total = F.add(total, a)
+    return total
+
+
 SUBMUL_FIELDS = [(5, 1), (3, 2), (5, 2), (3, 3), (3, 7), (127, 2), (2, 16)]
 
 

@@ -32,7 +32,7 @@ from lcdmds import (
     field_from_order,
 )
 from lcdmds import linear
-from lcdmds.grs import difference_products
+from lcdmds.grs import _proofs, difference_products
 
 F5 = field(5)
 
@@ -364,7 +364,7 @@ def test_power_sums_give_the_gram_matrix_and_the_hull():
     @given(grs_specs(orders=((2, 3), (5, 1), (3, 2), (5, 2), (3, 3))))
     def check(spec):
         F, k, G = spec.field, spec.k, spec._rows
-        h = spec._power_sums()
+        h = _proofs([spec])[0]
         assert [h[r : r + k] for r in range(k)] == linear._product(F, G, G.T).tolist()
         hulls.append(spec.verdict(comb(spec.length, k))["hull_dimension"])
         assert hulls[-1] == hankel_hull(spec)
@@ -375,25 +375,25 @@ def test_power_sums_give_the_gram_matrix_and_the_hull():
     # m < q - 1 is 0, so the Hankel matrix is 0 and the hull is k
     for F, k in ((field(5, 2), 5), (field(2, 3), 2), (field(3, 3), 13)):
         spec = GrsSpec(F, tuple(range(F.q)), (1,) * F.q, k)
-        assert spec._power_sums() == [0] * (2 * k - 1)
+        assert _proofs([spec])[0] == [0] * (2 * k - 1)
         assert spec.verdict(comb(F.q, k))["hull_dimension"] == k == hankel_hull(spec)
     # extended, with 2k - 2 < q - 1: the last column adds 1 at h_(2k-2), so
     # h = (0, .., 0, 1), L = 2k - 1 > k and the Hankel rank is 2k - L = 1
     for F, k in ((field(5, 2), 5), (field(2, 3), 2), (field(3, 3), 6), (field(7), 3)):
         spec = GrsSpec(F, tuple(range(F.q)), (1,) * F.q, k, extended=True)
-        assert spec._power_sums() == [0] * (2 * k - 2) + [1]
+        assert _proofs([spec])[0] == [0] * (2 * k - 2) + [1]
         hull = spec.verdict(comb(spec.length, k))["hull_dimension"]
         assert hull == k - 1 == hankel_hull(spec) == spec.generator().hull_dimension()
 
 
-def test_spec_verdict_matches_the_generic_verdict_past_the_grid():
+def test_spec_verdict_matches_the_generic_verdict_past_the_grid(monkeypatch):
     # GrsSpec.verdict's closed form (hull from the power sums, MDS and
     # d = n - k + 1 from the checked V diag(v)) against LinearCode.verdict,
     # which eliminates G Gt and weighs codewords (C's, or its dual's when
     # that side is cheaper) or decides column subsets: every k of each drawn
     # spec that a budget admits, at the default budget and at C(length, k),
     # which forces column subsets wherever q^k exceeds it
-    verdicts = []
+    verdicts, proven = [], {}
 
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(grs_specs(orders=((5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3))))
@@ -407,12 +407,36 @@ def test_spec_verdict_matches_the_generic_verdict_past_the_grid():
                     continue
                 assert got == LinearCode(s.field, s._rows).verdict(budget), (s, budget)
                 verdicts.append((got["mds_route"], 2 * k > s.length, got["hull_dimension"] > 0))
+                proven.setdefault(budget, []).append((s, got))
 
     check()
     # each route meets rates above and below 1/2, LCD codes and nonzero hulls:
     # every one of the 8 kinds at least 50 times under hypothesis 6.155
     counts = Counter(verdicts)
     assert len(counts) == 8 and min(counts.values()) >= 50, counts
+    # the same specs, unproven copies, proven as mixed batches, one a budget:
+    # the default budget's batch mixes plain and extended specs, nonzero
+    # hulls, GF(p) and GF(p^e) and locators 0. Each batch gives the verdicts
+    # above, and leaves each spec the rows it checked, when a chunk takes a
+    # field's run of specs up to BATCH_ENTRIES and when it is split across
+    # smaller bounds, down to one spec a chunk
+    batch = proven[linear.DEFAULT_BUDGET]
+    assert {(s.extended, s.field.e > 1, got["hull_dimension"] > 0) for s, got in batch} == set(
+        product((False, True), repeat=3)
+    )
+    assert any(0 in s.locators and not s.extended for s, _ in batch)
+    proofs, chunks = lcdmds.grs._proofs, []
+    monkeypatch.setattr(lcdmds.grs, "_proofs", lambda specs: chunks.append(len(specs)) or proofs(specs))
+    sizes = []
+    for bound in (linear.BATCH_ENTRIES, 256, 1):
+        monkeypatch.setattr(linear, "BATCH_ENTRIES", bound)
+        chunks.clear()
+        for budget, pairs in proven.items():
+            fresh = [dataclasses.replace(s) for s, _ in pairs]
+            assert lcdmds.grs.verdicts(fresh, budget) == [got for _, got in pairs]
+            assert all(np.array_equal(t.__dict__["_rows"], s._rows) for t, (s, _) in zip(fresh, pairs))
+        sizes.append(len(chunks))
+    assert sizes[0] < sizes[1] < sizes[2] == sum(map(len, proven.values())), sizes
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
