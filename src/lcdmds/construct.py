@@ -11,7 +11,8 @@ and refuses to return one that is not LCD; verify_reports proves many
 reports' specs together, in one array pass a chunk, and returns each
 report's TheoremViolation instead of raising it, so lcdmds sweep can prove
 a chunk of cells at once. lcdmds verify, given a record and no spec to
-trust, runs linear.py's oracles, enumeration included.
+trust, runs linear.py's MDS check: the GRS certificate, and then the
+enumeration or the column-subset walk for a code it does not prove.
 
 All families need an odd prime power q > 3, a length n <= q + 1 and a
 dimension 1 < k <= floor(n/2) (larger k is covered by duality: the dual of an

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from lcdmds import Field, GrsSpec, LinearCode, ParameterError
+from lcdmds import Field, GrsSpec, LinearCode, ParameterError, linear
 
 
 @pytest.fixture
@@ -144,9 +144,9 @@ def intersection_dim(a, b):
 
 
 def enumerated_min_distance(code):
-    """The minimum distance from mds_check's enumeration route, which a
-    budget of q^k always selects."""
-    return code.mds_check(code.field.q**code.k)[2]
+    """The minimum distance weighed by the enumeration kernel, with no GRS
+    certificate: the reference for every closed-form distance."""
+    return linear._enumerate_min_weight(code.field, code.array)
 
 
 def mat_mul_scalar(F, A, B):

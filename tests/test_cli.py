@@ -527,9 +527,13 @@ def test_construct_and_sweep_prove_codes_from_their_specs(capsys, tmp_path, monk
     enumerated = [r for r in rows if r["mds_route"] == "enumeration"]
     assert len(enumerated) == len(rows) == 13
     assert all(r["min_distance"] == r["n"] - r["k"] + 1 for r in enumerated)
-    # the spy sees the oracle's calls: verify on a record still weighs codewords
-    path.write_text(out)
-    assert run(capsys, "verify", str(path))[0] == 0 and len(weighed) == 1
+    # the spy sees the oracle's calls: verify weighs the codewords of a record
+    # the GRS certificate does not prove MDS, the [98, 3] code with column 0
+    # copied over column 1
+    record = json.loads(out)
+    generator = [row[:1] * 2 + row[2:] for row in record["generator"]]
+    path.write_text(json.dumps({"field": record["field"], "generator": generator}))
+    assert run(capsys, "verify", str(path))[0] == 1 and [G.shape for _, G in weighed] == [(3, 98)]
 
 
 def test_budget_env_var(capsys, tmp_path, monkeypatch):
@@ -759,10 +763,11 @@ def test_verify_and_info_match_pinned_hashes(capsys, tmp_path):
 
 
 def test_verify_weighs_the_dual_of_a_high_rate_record(capsys, tmp_path, monkeypatch):
-    # the enumeration kernel gets the n - k rows of the dual, once a record
+    # a high-rate record the GRS certificate proves MDS weighs no codeword;
+    # the equal-column one, which it does not, is weighed once, on its k rows
     weighed = []
-    real = lcdmds.linear._weights
-    monkeypatch.setattr(lcdmds.linear, "_weights", lambda F, G: weighed.append(G.shape) or real(F, G))
+    real = lcdmds.linear._enumerate_min_weight
+    monkeypatch.setattr(lcdmds.linear, "_enumerate_min_weight", lambda F, G: weighed.append(G.shape) or real(F, G))
     for name in ("gf9_8_6", "gf9_9_6", "gf9_10_6", "gf9_10_6_equal_columns"):
         record, code, _ = PINNED_VERIFY_STDOUT[name]
         path = tmp_path / f"{name}.json"
@@ -771,7 +776,7 @@ def test_verify_weighs_the_dual_of_a_high_rate_record(capsys, tmp_path, monkeypa
         rc, out, _ = run(capsys, "verify", str(path))
         n = len(record["generator"][0])
         assert rc == code and json.loads(out)["mds_route"] == "enumeration"
-        assert weighed == [(n - 6, n)], name
+        assert weighed == ([(6, n)] if name == "gf9_10_6_equal_columns" else []), name
 
 
 # the shapes the CLI writes, and the ones it does not: str keys with escapes,

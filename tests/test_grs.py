@@ -389,10 +389,10 @@ def test_power_sums_give_the_gram_matrix_and_the_hull():
 def test_spec_verdict_matches_the_generic_verdict_past_the_grid(monkeypatch):
     # GrsSpec.verdict's closed form (hull from the power sums, MDS and
     # d = n - k + 1 from the checked V diag(v)) against LinearCode.verdict,
-    # which eliminates G Gt and weighs codewords (C's, or its dual's when
-    # that side is cheaper) or decides column subsets: every k of each drawn
-    # spec that a budget admits, at the default budget and at C(length, k),
-    # which forces column subsets wherever q^k exceeds it
+    # which eliminates G Gt and reads the GRS certificate off the RREF of G
+    # on either route: every k of each drawn spec that a budget admits, at
+    # the default budget and at C(length, k), which forces column subsets
+    # wherever q^k exceeds it
     verdicts, proven = [], {}
 
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
