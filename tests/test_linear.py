@@ -724,30 +724,38 @@ def small_codes(draw):
         assume(False)
 
 
+def check_against_references(code):
+    """mds_check's d on the enumeration route, against brute force where
+    q^k <= 2,500 and the direct enumeration of C elsewhere: (d, the GRS
+    certificate's answer)."""
+    mds, route, d = code.mds_check(code.field.q**code.k)
+    if code.field.q**code.k <= 2500:
+        assert d == brute_min_distance(code)
+    else:
+        assert d == linear._enumerate_min_weight(code.field, code.array)
+    assert (mds, route) == (d == code.n - code.k + 1, "enumeration")
+    return d, code._grs_certificate()
+
+
 def test_dual_side_matches_references():
-    # mds_check's d on the enumeration route, n - k + 1 in closed form for a
-    # code the GRS certificate proves and weighed for any other, at every
-    # rate: against brute force where q^k <= 2,500 and the direct
-    # enumeration of C elsewhere; drawn codes, then the explicit cases, with
-    # each of the certificate's answers, True, False and None, among them
-    answers, distances = set(), []
-
-    def check(code):
-        mds, route, d = code.mds_check(code.field.q**code.k)
-        if code.field.q**code.k <= 2500:
-            assert d == brute_min_distance(code)
-        else:
-            assert d == linear._enumerate_min_weight(code.field, code.array)
-        assert (mds, route) == (d == code.n - code.k + 1, "enumeration")
-        answers.add(code._grs_certificate())
-        distances.append(d)
-
+    # n - k + 1 in closed form for a code the GRS certificate proves and
+    # weighed for any other, at every rate, on drawn codes; the certificate
+    # answers both True and False among them
+    answers = set()
+    check = lambda code: answers.add(check_against_references(code)[1])
     settings(derandomize=True, max_examples=200, deadline=None, database=None)(given(small_codes())(check))()
     assert {True, False} <= answers
+
+
+def test_dual_side_cases():
+    # the explicit cases, with each of the certificate's answers, True, False
+    # and None, among them
+    answers = set()
     cases = explicit_cases()
     for name, (code, d) in cases.items():
-        check(code)
-        assert distances[-1] == d, name
+        got, answer = check_against_references(code)
+        assert got == d, name
+        answers.add(answer)
     assert answers == {True, False, None}
     assert cases["nonzero hull"][0].hull_dimension() == 3
 
